@@ -3,13 +3,12 @@
 Two prongs keep both simulators bit-deterministic and leak-free:
 
 * :mod:`repro.check.lint` — an AST-based static linter with project
-  rules R001-R010 (seeded randomness, wall-clock leaks, unordered
-  iteration near event scheduling, float timestamp equality,
-  acquire/release pairing, per-module lock order, effectful duration
-  callables, mutable defaults, ambient contexts outside ``with``, and
-  unsorted report serialization).  ``python -m repro check src`` gates
-  CI, and :mod:`repro.check.flow` layers the interprocedural analyses
-  (static deadlock detection F001, fusion-safety proofs F002) on top
+  rules (seeded randomness, wall-clock leaks, unordered iteration near
+  event scheduling, float timestamp equality, acquire/release pairing,
+  per-module lock order, mutable defaults, ambient contexts outside
+  ``with``, unsorted report serialization, and in-place page mutation).
+  ``python -m repro check src`` gates CI, and :mod:`repro.check.flow`
+  layers the interprocedural static deadlock detection (F001) on top
   via ``repro check --flow``.
 * :mod:`repro.check.sanitizer` — a runtime sanitizer the simulators can
   run under (``repro run <experiment> --sanitize``) that detects delay

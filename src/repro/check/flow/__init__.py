@@ -1,21 +1,14 @@
-"""``repro.check.flow`` — interprocedural concurrency & effect analysis.
+"""``repro.check.flow`` — interprocedural lock-order analysis.
 
-The per-function AST linter (:mod:`repro.check.lint`, rules R001-R010)
-proves *local* properties; this subpackage proves the two properties
-that span call graphs:
+The per-function AST linter (:mod:`repro.check.lint`) proves *local*
+properties; this subpackage proves one that spans call graphs.
+:mod:`repro.check.flow.lockorder` extracts every ``LockManager`` acquire
+site, builds the inter-site lock-order graph by walking the call graph
+through the code each site executes while its locks are held, and
+reports cycles as potential deadlocks together with the witness call
+chains that realise each edge.
 
-* :mod:`repro.check.flow.lockorder` — every ``LockManager`` acquire site
-  is extracted, the inter-site lock-order graph is built by walking the
-  call graph through the code each site executes while its locks are
-  held, and cycles are reported as potential deadlocks together with the
-  witness call chains that realise each edge.
-* :mod:`repro.check.flow.effects` — operator callables reachable from
-  the :mod:`repro.sim.fusion` charge chains are classified on a small
-  effect lattice (pure < duration-pure < effectful); chains whose
-  duration callables are not statically proven effect-free are unsafe to
-  fuse, and :func:`repro.sim.fusion.resolve_fusion` refuses them.
-
-Both are built on :mod:`repro.check.flow.callgraph`, a conservative
+It is built on :mod:`repro.check.flow.callgraph`, a conservative
 name-based call graph over the parsed project sources.  The driver is
 :func:`repro.check.flow.analyze.analyze_paths` (``repro check --flow``).
 """
@@ -24,23 +17,11 @@ from __future__ import annotations
 
 from repro.check.flow.analyze import analyze_paths, flow_self_test
 from repro.check.flow.callgraph import CallGraph, build_call_graph
-from repro.check.flow.effects import (
-    EFFECTFUL,
-    DURATION_PURE,
-    PURE,
-    FusionSafetyReport,
-    analyze_fusion_safety,
-)
 from repro.check.flow.lockorder import LockOrderAnalysis, analyze_lock_order
 
 __all__ = [
     "CallGraph",
-    "DURATION_PURE",
-    "EFFECTFUL",
-    "FusionSafetyReport",
     "LockOrderAnalysis",
-    "PURE",
-    "analyze_fusion_safety",
     "analyze_lock_order",
     "analyze_paths",
     "build_call_graph",

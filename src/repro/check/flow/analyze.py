@@ -1,21 +1,18 @@
 """Driver for ``repro check --flow``: analyses -> findings.
 
-Two finding families, numbered apart from the per-function lint rules
-(R-prefixed) because they are whole-program properties:
+One finding family, numbered apart from the per-function lint rules
+(R-prefixed) because it is a whole-program property:
 
 ========  ==============================================================
 F001      lock-order cycle (potential deadlock); the message carries one
           witness call chain per edge of the cycle
-F002      fusion chain whose duration callables are not statically
-          proven effect-free (fusing could reorder or drop effects)
 ========  ==============================================================
 
 Findings reuse :class:`repro.check.lint.Finding` and honor the same
 ``# repro: allow[...]`` line suppressions, so the CLI renders lint and
 flow output through one pipeline.  :func:`flow_self_test` seeds a
-deadlock cycle and an effectful fused operator through the analyses and
-fails if either goes quiet — the same gate-for-the-gate contract as
-``repro.check.lint.self_test``.
+deadlock cycle through the analysis and fails if it goes quiet — the
+same gate-for-the-gate contract as ``repro.check.lint.self_test``.
 """
 
 from __future__ import annotations
@@ -24,16 +21,14 @@ import os
 from typing import Dict, List, Sequence, Set
 
 from repro.check.flow.callgraph import CallGraph, build_call_graph
-from repro.check.flow.effects import FusionSafetyReport, analyze_fusion_safety
 from repro.check.flow.lockorder import analyze_lock_order
 from repro.check.lint import Finding, _suppressed_lines, iter_python_files
 
 LOCK_CYCLE_RULE = "F001"
-FUSION_SAFETY_RULE = "F002"
 
 
 def flow_findings(graph: CallGraph) -> List[Finding]:
-    """Run both interprocedural analyses over one call graph."""
+    """Run the lock-order analysis over one call graph."""
     findings: List[Finding] = []
 
     lock_order = analyze_lock_order(graph)
@@ -48,22 +43,6 @@ def flow_findings(graph: CallGraph) -> List[Finding]:
                 line=anchor.line,
                 col=anchor.col,
                 message=f"potential deadlock: {cycle.render()}",
-            )
-        )
-
-    safety = analyze_fusion_safety(graph)
-    for chain in safety.unsafe_chains():
-        reasons = "; ".join(f"{name}: {why}" for name, why in chain.unsafe)
-        findings.append(
-            Finding(
-                rule=FUSION_SAFETY_RULE,
-                path=chain.path,
-                line=chain.line,
-                col=0,
-                message=(
-                    f"fusion chain in {chain.function.split('::')[-1]} "
-                    f"not proven safe: {reasons}"
-                ),
             )
         )
 
@@ -114,16 +93,6 @@ SEEDED_FLOW_VIOLATIONS = {
         "        self.lock_a.acquire(request)\n"
         "        self.lock_a.release(request)\n"
         "        self.lock_b.release(request)\n"
-    ),
-    FUSION_SAFETY_RULE: (
-        "class Operator:\n"
-        "    def scan_cost_ms(self, rows):\n"
-        "        self.calls = self.calls + 1\n"
-        "        return rows * 0.25\n"
-        "\n"
-        "    def charge(self, rows):\n"
-        "        total = fused_chain_end([self.scan_cost_ms(rows)])\n"
-        "        return total\n"
     ),
 }
 

@@ -12,11 +12,9 @@ Resolution is by *name*, scoped by what the AST can see:
 * ``obj.foo(...)``    -> every function or method named ``foo`` in the
   project.
 
-Over-approximation is the right failure mode for the two clients: the
-lock-order analysis may report a cycle that cannot happen (suppressable,
-never silently missing a real one) and the effect analysis may classify
-a pure function as effectful (fusion refuses a safe chain, never fuses
-an unsafe one).
+Over-approximation is the right failure mode for the lock-order
+analysis: it may report a cycle that cannot happen (suppressable), but
+never silently misses a real one.
 
 Everything iterates in sorted order so reports are byte-deterministic.
 """

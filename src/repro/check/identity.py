@@ -1,40 +1,26 @@
-"""Byte-identity gates for runtime configuration axes.
+"""Byte-identity gate for span tracing.
 
 The repo's oracle is the rendered experiment report: every experiment is
-deterministic, so any *performance-only* configuration axis must produce
-byte-identical renders.  This module runs each experiment once under the
-default configuration and once under a variant axis, and reports any
-experiment whose output changed:
+deterministic, so an observability axis must produce byte-identical
+renders.  This module runs each experiment once without a collector and
+once with an armed :class:`repro.obs.spans.SpanCollector`, and reports
+any experiment whose output changed.  Span hooks observe existing state
+transitions only — they schedule no events and draw no randomness — so
+an armed collector must be invisible in every report, including the
+serving experiments whose reports carry ``events_processed``.
 
-* ``scheduler`` — the calendar-queue future-event list
-  (``Simulator(scheduler="calendar")``) against the default tie-batched
-  heap.  Must hold for **every** experiment: the event list only reorders
-  heap traffic, never events.
-* ``fusion`` — operator-loop fusion (:mod:`repro.sim.fusion`) against
-  unfused chains.  Must also hold for every experiment: fused chains land
-  on bit-identical timestamps and event counts, and the flag disables
-  itself in the modes where the equivalence cannot hold (armed fault
-  plans, serving horizons) — so E13/E14/E15 pass by construction.
-* ``tracing`` — an armed :class:`repro.obs.spans.SpanCollector` against
-  no collector.  Span hooks observe existing state transitions only —
-  they schedule no events and draw no randomness — so an armed collector
-  must be invisible in every report, including the serving experiments
-  whose reports carry ``events_processed``.
-
-Exposed through ``repro check --scheduler-identity`` /
-``--fusion-identity`` / ``--tracing-identity`` and exercised (on a
+Exposed through ``repro check --tracing-identity`` and exercised (on a
 subset) by the test suite.
 
 Configurations are the experiments' quick grids — small enough for CI,
 large enough to cross every protocol path (joins, broadcasts, failover,
-admission).
+admission, crash recovery).
 """
 
 from __future__ import annotations
 
 import importlib
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckError
 
@@ -80,9 +66,18 @@ QUICK_CONFIGS: Dict[str, Tuple[str, Dict]] = {
         "repro.experiments.latency_decomposition",
         dict(machines=("ring",), rates=(20.0, 60.0), duration_ms=1500.0, scale=0.05),
     ),
+    "recovery": (
+        "repro.experiments.recovery_sweep",
+        dict(
+            machines=("ring", "direct", "dataflow"),
+            write_fractions=(0.5,),
+            crash_rates=(0.0, 1.0),
+            scale=0.02,
+            queries=6,
+            workers=1,
+        ),
+    ),
 }
-
-AXES = ("scheduler", "fusion", "tracing")
 
 
 def render_experiment(name: str) -> str:
@@ -99,42 +94,22 @@ def render_experiment(name: str) -> str:
     return str(result.render())
 
 
-@contextmanager
-def _axis_context(axis: str) -> Iterator[None]:
-    """The ambient context that switches one axis on."""
-    if axis == "scheduler":
-        from repro.sim.engine import scheduling
-
-        with scheduling("calendar"):
-            yield
-    elif axis == "fusion":
-        from repro.sim.fusion import fusing
-
-        with fusing(True):
-            yield
-    elif axis == "tracing":
-        from repro.obs.spans import collecting
-
-        with collecting():
-            yield
-    else:
-        raise CheckError(f"unknown identity axis {axis!r} (choose from {AXES})")
-
-
-def identity_mismatches(
-    axis: str, experiments: Optional[Sequence[str]] = None
+def tracing_identity_mismatches(
+    experiments: Optional[Sequence[str]] = None,
 ) -> List[str]:
-    """Run the identity gate for one axis; returns mismatch descriptions.
+    """Run the tracing identity gate; returns mismatch descriptions.
 
-    Each experiment runs twice — default configuration, then under the
-    axis — and the rendered reports are compared byte for byte.  An empty
-    list means the axis is output-invisible, which is the contract.
+    Each experiment runs twice — untraced, then with span collection
+    armed — and the rendered reports are compared byte for byte.  An
+    empty list means tracing is output-invisible, which is the contract.
     """
+    from repro.obs.spans import collecting
+
     names = list(experiments) if experiments else list(QUICK_CONFIGS)
     mismatches: List[str] = []
     for name in names:
         baseline = render_experiment(name)
-        with _axis_context(axis):
+        with collecting():
             variant = render_experiment(name)
         if baseline != variant:
             first_diff = next(
@@ -148,7 +123,7 @@ def identity_mismatches(
                 min(len(baseline.splitlines()), len(variant.splitlines())),
             )
             mismatches.append(
-                f"{name}: {axis} output diverges from baseline "
+                f"{name}: tracing output diverges from baseline "
                 f"(first differing line {first_diff + 1})"
             )
     return mismatches

@@ -177,11 +177,6 @@ SEEDED_VIOLATIONS = {
         "    self.lock_b.acquire(request)\n"
         "    self.lock_a.acquire(request)\n"
     ),
-    "R007": (
-        "def scan_cost_ms(self, rows):\n"
-        "    self.calls = self.calls + 1\n"
-        "    return rows * 0.25\n"
-    ),
     "R008": "def f(pending=[]):\n    return pending\n",
     "R009": "def f():\n    ctx = sanitizing()\n    return ctx\n",
     "R010": "import json\ndef f(report):\n    return json.dumps(report)\n",

@@ -37,12 +37,10 @@ RULE_DESCRIPTIONS = {
     "R004": "float equality on simulation timestamps",
     "R005": "Resource.acquire without a paired release",
     "R006": "inconsistent lock acquisition order within a module",
-    "R007": "side effects inside a *_ms duration callable",
     "R008": "mutable default argument in simulation/serving code",
     "R009": "ambient context used outside a with statement",
     "R010": "json serialization without sort_keys=True",
     "F001": "interprocedural lock-order cycle (potential deadlock)",
-    "F002": "fusion chain not statically proven effect-free",
 }
 
 

@@ -1,10 +1,10 @@
 """R009 — ambient contexts are entered with ``with``.
 
 The ambient toggles (:func:`repro.check.sanitizer.sanitizing`,
-``injecting``, ``collecting``, ``scheduling``, ``fusing``) flip
-process-global state and rely on their ``finally`` blocks to restore
-it.  Calling one without entering it does nothing; entering it manually
-(``ctx.__enter__()``) leaks the global flip past the first exception.
+``injecting``, ``collecting``) flip process-global state and rely on
+their ``finally`` blocks to restore it.  Calling one without entering it
+does nothing; entering it manually (``ctx.__enter__()``) leaks the
+global flip past the first exception.
 Either way the damage is invisible locally and surfaces as cross-run
 nondeterminism three modules away.
 
@@ -23,9 +23,7 @@ from typing import Iterator, Set
 from repro.check.rules.base import Rule, Violation
 
 #: The ambient context-manager factories, by bare or attribute name.
-_AMBIENT_NAMES = frozenset(
-    {"sanitizing", "injecting", "collecting", "scheduling", "fusing"}
-)
+_AMBIENT_NAMES = frozenset({"sanitizing", "injecting", "collecting"})
 _ENTER_NAMES = frozenset({"enter_context", "enter_async_context"})
 
 

@@ -198,16 +198,8 @@ class Sanitizer:
 
     # -- engine hooks --------------------------------------------------------
 
-    def on_schedule(
-        self, now: float, delay: float, label: str, at: Optional[float] = None
-    ) -> None:
-        """Audit one ``schedule(delay, ...)`` call made at time ``now``.
-
-        ``at`` carries the exact timestamp when the caller scheduled an
-        absolute time (``schedule_abs``): re-deriving ``now + delay`` can
-        land an ulp off, and the tie bookkeeping must key on the same bits
-        :meth:`on_fire` will later see.
-        """
+    def on_schedule(self, now: float, delay: float, label: str) -> None:
+        """Audit one ``schedule(delay, ...)`` call made at time ``now``."""
         if math.isnan(delay):
             self.fail(f"scheduled an event with a NaN delay (label={label!r})")
         if math.isinf(delay):
@@ -216,7 +208,7 @@ class Sanitizer:
             self.fail(
                 f"scheduled an event {-delay} ms into the past (label={label!r})"
             )
-        time = now + delay if at is None else at
+        time = now + delay
         entry = self._pending.get(time)
         if entry is None:
             self._pending[time] = [1, 0 if label else 1]

@@ -29,22 +29,18 @@ Commands:
                                 buckets (repro-explain/v1); optional
                                 repro-tsdb/v1 time-series and Chrome-trace
                                 flow-graph outputs
-* ``check [paths...]``        — determinism lint (R001-R010); ``--flow``
-                                adds the interprocedural analyses (static
-                                deadlock detection F001, fusion-safety
-                                proofs F002); ``--format`` selects
+* ``check [paths...]``        — determinism lint; ``--flow`` adds the
+                                interprocedural static deadlock detection
+                                (F001); ``--format`` selects
                                 text/json/sarif/github output;
                                 ``--self-test`` proves each rule and
                                 analysis still fires;
-                                ``--scheduler-identity``/``--fusion-identity``/
-                                ``--tracing-identity`` prove the perf and
-                                observability axes change no output bytes
+                                ``--tracing-identity`` proves span tracing
+                                changes no output bytes
 
 ``run``/``trace``/``metrics`` accept ``--sanitize`` to enable the runtime
 simulation sanitizer (event-order, delay, lease, cache, and ring
-invariants; violations raise ``SanitizerError``), ``--scheduler calendar``
-to switch the future-event list, and ``--fuse`` to fuse operator charge
-chains — the latter two are perf-only and byte-identical by contract.
+invariants; violations raise ``SanitizerError``).
 
 Sweep experiments accept ``--workers N`` to fan independent sweep points
 out over N worker processes; results are byte-identical to serial.
@@ -155,22 +151,13 @@ def _run_experiment(args):
         return None, 2
     module, _summary = _EXPERIMENTS[args.experiment]
     try:
-        # Scheduler and fusion selections export through the environment,
-        # so sweep worker processes inherit them; the sanitizer is
-        # process-local and forces workers=1 in _experiment_kwargs.
+        # The sanitizer is process-local and forces workers=1 in
+        # _experiment_kwargs.
         with contextlib.ExitStack() as stack:
             if getattr(args, "sanitize", False):
                 from repro.check import sanitizing
 
                 stack.enter_context(sanitizing())
-            if getattr(args, "scheduler", None):
-                from repro.sim.engine import scheduling
-
-                stack.enter_context(scheduling(args.scheduler))
-            if getattr(args, "fuse", False):
-                from repro.sim.fusion import fusing
-
-                stack.enter_context(fusing(True))
             return module.run(**_experiment_kwargs(args)), 0
     except TypeError as exc:
         print(f"experiment {args.experiment!r} rejected options: {exc}")
@@ -302,28 +289,19 @@ def _cmd_check(args) -> int:
             "self-test OK: every rule and flow analysis fires and suppresses"
         )
         return 0
-    if args.scheduler_identity or args.fusion_identity or args.tracing_identity:
-        from repro.check.identity import identity_mismatches
+    if args.tracing_identity:
+        from repro.check.identity import tracing_identity_mismatches
 
         experiments = [
             part for part in (args.experiments or "").split(",") if part
         ] or None
-        failed = False
-        for axis, wanted in (
-            ("scheduler", args.scheduler_identity),
-            ("fusion", args.fusion_identity),
-            ("tracing", args.tracing_identity),
-        ):
-            if not wanted:
-                continue
-            mismatches = identity_mismatches(axis, experiments)
-            if mismatches:
-                failed = True
-                for mismatch in mismatches:
-                    print(mismatch)
-            else:
-                print(f"{axis} identity OK: byte-identical renders")
-        return 1 if failed else 0
+        mismatches = tracing_identity_mismatches(experiments)
+        for mismatch in mismatches:
+            print(mismatch)
+        if mismatches:
+            return 1
+        print("tracing identity OK: byte-identical renders")
+        return 0
     findings = lint_paths(args.paths)
     if args.flow:
         from repro.check.flow import analyze_paths
@@ -597,20 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run with the simulation sanitizer enabled (invariant "
             "violations raise SanitizerError); forces serial execution",
         )
-        parser_.add_argument(
-            "--scheduler",
-            choices=["heap", "calendar"],
-            default=None,
-            help="future-event-list implementation (byte-identical output; "
-            "see 'repro check --scheduler-identity')",
-        )
-        parser_.add_argument(
-            "--fuse",
-            action="store_true",
-            help="fuse deterministic operator charge chains into single "
-            "events (byte-identical output; see "
-            "'repro check --fusion-identity')",
-        )
 
     run = sub.add_parser("run", help="run one experiment")
     add_experiment_options(run)
@@ -690,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--flow",
         action="store_true",
-        help="also run the interprocedural flow analyses (lock-order "
-        "deadlock detection F001, fusion-safety proofs F002)",
+        help="also run the interprocedural lock-order deadlock "
+        "detection (F001)",
     )
     check.add_argument(
         "--format",
@@ -713,20 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         "violation (CI gate)",
     )
     check.add_argument(
-        "--scheduler-identity",
-        action="store_true",
-        dest="scheduler_identity",
-        help="verify the calendar-queue scheduler renders every "
-        "experiment byte-identically to the heap (CI gate)",
-    )
-    check.add_argument(
-        "--fusion-identity",
-        action="store_true",
-        dest="fusion_identity",
-        help="verify operator-loop fusion renders every experiment "
-        "byte-identically to unfused chains (CI gate)",
-    )
-    check.add_argument(
         "--tracing-identity",
         action="store_true",
         dest="tracing_identity",
@@ -736,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--experiments",
         default=None,
-        help="comma-separated experiment subset for the identity gates",
+        help="comma-separated experiment subset for --tracing-identity",
     )
 
     faults = sub.add_parser(

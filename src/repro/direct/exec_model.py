@@ -15,7 +15,7 @@ The simulated processors do two separable things:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List
 
 from repro import hw
 from repro.relational.page import Page
@@ -67,37 +67,6 @@ def join_pages(
 def project_rows(rows: List[Row], indices: List[int]) -> List[Row]:
     """Attribute cut (no dedup) of ``rows`` to the given positions."""
     return [tuple(row[i] for i in indices) for row in rows]
-
-
-def fused_chain_end(now: float, parts: Sequence[float]) -> float:
-    """Absolute end time of a charge chain begun at ``now``.
-
-    Accumulates left to right, matching an unfused cascade where each
-    link schedules relative to its own fire time — float addition is not
-    associative, so pre-summing the parts could land an ulp away from
-    the timestamp the cascade would have produced.
-    """
-    end = now
-    for part in parts:
-        end = end + part
-    return end
-
-
-def fused_chain_spans(now: float, parts: Sequence[float]) -> List[Tuple[float, float]]:
-    """Per-link ``(start, duration)`` intervals of a chain begun at ``now``.
-
-    The analytic sub-spans an observer (tracer or span collector) reports
-    for a fused chain: each link starts exactly where the unfused cascade
-    would have scheduled it, using the same left-to-right accumulation as
-    :func:`fused_chain_end`, so traced fused runs show the same per-op
-    intervals as unfused ones.
-    """
-    spans: List[Tuple[float, float]] = []
-    start = now
-    for part in parts:
-        spans.append((start, part))
-        start = start + part
-    return spans
 
 
 # ---------------------------------------------------------------------------

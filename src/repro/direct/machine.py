@@ -33,7 +33,7 @@ from repro import hw
 from repro.errors import CrashError, FaultError, MachineError
 from repro.direct import traffic as tlevels
 from repro.direct.cache import DiskCache, PageRef
-from repro.direct.exec_model import ExecModel, fused_chain_end, fused_chain_spans
+from repro.direct.exec_model import ExecModel
 from repro.direct.instructions import (
     AppendInstruction,
     DeleteInstruction,
@@ -66,7 +66,6 @@ from repro.query.tree import (
     UpdateNode,
 )
 from repro.sim.engine import Simulator
-from repro.sim.fusion import resolve_fusion
 from repro.sim.resources import Resource, checked_utilization
 
 
@@ -159,7 +158,6 @@ class DirectMachine:
         join_wait_timeout_ms: float = 100.0,
         ic_buffer_bytes: int = 128 * 1024,
         max_events: int = 5_000_000,
-        fuse_ops: Optional[bool] = None,
     ):
         if processors < 1:
             raise MachineError("need at least one processor")
@@ -174,10 +172,6 @@ class DirectMachine:
         self.max_events = max_events
 
         self.sim = Simulator()
-        # Operator-loop fusion (repro.sim.fusion); resolve_fusion keeps the
-        # flag off when a fault plan is armed on this simulator or when the
-        # static effect analysis has not proven this machine's chains safe.
-        self.fuse_ops = resolve_fusion(fuse_ops, self.sim, component="direct")
         self.meter = TrafficMeter()
         self.processors = [_Processor(i) for i in range(processors)]
         if self.sim.spans is not None:
@@ -726,9 +720,6 @@ class DirectMachine:
             # set; keep them resident (IC cache-segment behaviour).
             self.cache.protect(inner_ref)
             fill = self.model.proc_read_ms(inner_ref.nbytes)
-            if self.fuse_ops:
-                self._fused_join_fill(proc, task, instr, inner_ref, fill)
-                return
 
             def filled() -> None:
                 cpu = self.model.join_cpu_ms(task.page.row_count, inner_ref.row_count)
@@ -780,56 +771,6 @@ class DirectMachine:
             else:
                 self._drop_intermediate(inner_ref)
         self._emit_rows(proc, instr, rows, lambda: self._join_step(proc, task))
-
-    def _fused_join_fill(
-        self,
-        proc: _Processor,
-        task: Task,
-        instr: JoinInstruction,
-        inner_ref: PageRef,
-        fill: float,
-    ) -> None:
-        """Fill + join CPU as one event (see :mod:`repro.sim.fusion`).
-
-        The chain is deterministic once the inner page is resident, so the
-        end time is known up front; busy time is credited per link in the
-        cascade's order and ``count_fused`` keeps the event tally equal.
-        """
-        cpu = self.model.join_cpu_ms(task.page.row_count, inner_ref.row_count)
-        if self.granularity.tuple_dispatch:
-            pairs = task.page.row_count * inner_ref.row_count
-            cpu += pairs * self.granularity.tuple_dispatch_ms
-            self._charge_pair_traffic(instr, task.page, inner_ref)
-        sim = self.sim
-        if sim.tracer.enabled:
-            sim.tracer.span("inner-fill", "proc", sim.now, fill, f"P{proc.pid}")
-            sim.tracer.span("cpu", "proc", sim.now + fill, cpu, f"P{proc.pid}")
-        if sim.metrics.enabled:
-            sim.metrics.tally("proc.charge_ms", kind="inner-fill").observe(fill)
-            sim.metrics.tally("proc.charge_ms", kind="cpu").observe(cpu)
-        if sim.spans is not None:
-            # Fusion composition: report the same per-link intervals the
-            # unfused cascade would have produced (analytic sub-spans).
-            links = fused_chain_spans(sim.now, (fill, cpu))
-            for (span_start, dur), what in zip(links, ("fill", "cpu")):
-                sim.spans.record(
-                    "service",
-                    instr.query.name,
-                    span_start,
-                    span_start + dur,
-                    name=f"proc.{what}",
-                )
-                sim.spans.resource_busy("processors", span_start, dur)
-
-        def fused_done() -> None:
-            proc.busy_ms += fill
-            proc.busy_ms += cpu
-            sim.count_fused(1)
-            self._join_pair_done(proc, task, instr, inner_ref)
-
-        sim.schedule_abs(
-            fused_chain_end(sim.now, (fill, cpu)), fused_done, label=f"p{proc.pid}.cpu"
-        )
 
     def _park_task(self, proc: _Processor, task: Task) -> None:
         instr = task.instruction

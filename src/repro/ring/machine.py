@@ -53,7 +53,6 @@ from repro.ring.packets import (
 )
 from repro.ring.processor import InstructionProcessor
 from repro.sim.engine import Simulator
-from repro.sim.fusion import resolve_fusion
 from repro.sim.resources import Resource, checked_utilization
 
 #: Destination id of the master controller / host.
@@ -117,7 +116,6 @@ class RingMachine:
         fault_tolerant: bool = False,
         watchdog_interval_ms: float = 500.0,
         max_events: int = 5_000_000,
-        fuse_ops: Optional[bool] = None,
     ):
         if processors < 1 or controllers < 1:
             raise MachineError("need at least one IP and one IC")
@@ -134,14 +132,6 @@ class RingMachine:
         self.failed_ips: List[int] = []
 
         self.sim = Simulator()
-        # Operator-loop fusion (repro.sim.fusion): besides the armed-plan
-        # and fusion-safety gates inside resolve_fusion, fail-stop mode
-        # keeps chains unfused — watchdog abort settles in-flight charges
-        # pro rata, and a fused chain's settlement would differ from the
-        # cascade's.
-        self.fuse_ops = (
-            resolve_fusion(fuse_ops, self.sim, component="ring") and not fault_tolerant
-        )
         self.meter = TrafficMeter()
         self.outer_ring = Ring(self.sim, outer_ring, "outer-ring")
         self.inner_ring = Ring(self.sim, inner_ring, "inner-ring")

@@ -24,7 +24,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MachineError
-from repro.direct.exec_model import fused_chain_end, fused_chain_spans, join_pages
+from repro.direct.exec_model import join_pages
 from repro.relational.page import Page, page_capacity
 from repro.relational.schema import Row, Schema
 
@@ -175,17 +175,7 @@ class InstructionProcessor:
         fill = self.machine.model.proc_read_ms(ic.page_bytes)
         if inner_page is not None:
             fill += self.machine.model.proc_read_ms(ic.page_bytes)
-            if self.machine.fuse_ops:
-                cpu = self.machine.model.join_cpu_ms(
-                    outer_page.row_count, inner_page.row_count
-                )
-                self._charge_fused(
-                    (fill, cpu),
-                    lambda: self._join_done(inner_page, inner_index),
-                    ("fill", "join"),
-                )
-            else:
-                self._charge(fill, lambda: self._join_inner(inner_page, inner_index), "fill")
+            self._charge(fill, lambda: self._join_inner(inner_page, inner_index), "fill")
         else:
             self._charge(fill, self._advance_join, "fill")
 
@@ -204,17 +194,7 @@ class InstructionProcessor:
         self.busy = True
         self._awaiting_inner = None
         fill = self.machine.model.proc_read_ms(self._require_owner().page_bytes)
-        if self.machine.fuse_ops:
-            cpu = self.machine.model.join_cpu_ms(
-                self._outer_page.row_count, page.row_count
-            )
-            self._charge_fused(
-                (fill, cpu),
-                lambda: self._join_done(page, inner_index),
-                ("fill", "join"),
-            )
-        else:
-            self._charge(fill, lambda: self._join_inner(page, inner_index), "fill")
+        self._charge(fill, lambda: self._join_inner(page, inner_index), "fill")
 
     def receive_inner_last(self, inner_count: int) -> None:
         """IC reply: no inner page numbered >= ``inner_count`` exists."""
@@ -372,63 +352,6 @@ class InstructionProcessor:
             then()
 
         self.machine.sim.schedule(delay, guarded, label=f"ip{self.ip_id}")
-
-    def _charge_fused(
-        self,
-        parts: Tuple[float, ...],
-        then: Callable[[], None],
-        whats: Tuple[str, ...],
-    ) -> None:
-        """Charge a whole deterministic chain as one scheduled event.
-
-        The event lands on the bit-identical end time the per-link cascade
-        would reach (left-to-right accumulation), busy time is credited
-        per link in the original order, and ``count_fused`` keeps the
-        engine's event tally equal to the unfused run — see
-        :mod:`repro.sim.fusion` for the full exactness contract.
-        """
-        sim = self.machine.sim
-        charge_id = next(self._charge_ids)
-        if sim.tracer.enabled or sim.metrics.enabled:
-            owner = f"IC{self.owner.ic_id}" if self.owner else "pool"
-            start = sim.now
-            for delay, what in zip(parts, whats):
-                if sim.tracer.enabled:
-                    sim.tracer.span(
-                        what, "ip", start, delay, f"IP{self.ip_id}", args={"owner": owner}
-                    )
-                if sim.metrics.enabled:
-                    sim.metrics.tally("ip.charge_ms", kind=what).observe(delay)
-                start = start + delay
-        if sim.spans is not None and self.owner is not None:
-            # Fusion composes with span collection analytically: each link
-            # of the chain reports the sub-span the unfused cascade would
-            # have produced (same left-to-right accumulation).
-            query = self.owner.tree.name
-            for (span_start, delay), what in zip(
-                fused_chain_spans(sim.now, parts), whats
-            ):
-                sim.spans.record(
-                    "service", query, span_start, span_start + delay,
-                    name=f"ip.{what}",
-                )
-                sim.spans.resource_busy("ips", span_start, delay)
-        end = fused_chain_end(sim.now, parts)
-        self._inflight_charges[charge_id] = (sim.now, end - sim.now)
-
-        epoch = self._epoch
-
-        def guarded() -> None:
-            charge = self._inflight_charges.pop(charge_id, None)
-            if self.failed or self._epoch != epoch:
-                return  # fail-stop or aborted assignment: work evaporates
-            if charge is not None:
-                for delay in parts:
-                    self.busy_ms += delay
-            sim.count_fused(len(parts) - 1)
-            then()
-
-        sim.schedule_abs(end, guarded, label=f"ip{self.ip_id}")
 
     def _settle_inflight_charges(self) -> None:
         """Credit the elapsed portion of every in-flight charge and drop it.

@@ -97,10 +97,6 @@ def _build_machine(config: ServeConfig, catalog: Any) -> Any:
             processors=config.processors,
             page_bytes=config.page_bytes,
             max_events=config.max_events,
-            # Serving runs against an `until` horizon, which can cut a
-            # charge chain mid-flight — a fused chain would then collapse
-            # an observable boundary, so fusion stays off here.
-            fuse_ops=False,
         )
         machine.publish_per_query_metrics = False
         return machine
@@ -112,7 +108,6 @@ def _build_machine(config: ServeConfig, catalog: Any) -> Any:
             processors=config.processors,
             page_bytes=config.page_bytes,
             max_events=config.max_events,
-            fuse_ops=False,  # same horizon argument as the ring machine above
         )
         machine.publish_per_query_metrics = False
         return machine

@@ -6,72 +6,30 @@ contents.
 
 Hot-path notes:
 
-* The future-event list (:mod:`repro.sim.schedulers`) keys on *distinct*
-  timestamps and hands back whole same-time batches, so the dispatch loop
-  pays one priority-queue operation per distinct timestamp instead of one
-  per event.  Within a batch, events sit in scheduling order (buckets only
+* The future-event list (:class:`repro.sim.schedulers.TieBatchedHeap`)
+  keys on *distinct* timestamps and hands back whole same-time batches,
+  so the dispatch loop pays one priority-queue operation per distinct
+  timestamp instead of one per event.  Within a batch, events sit in scheduling order (buckets only
   grow by append and sequence numbers are monotone), which preserves the
   pre-batching ``(time, sequence)`` total order bit-for-bit.
 * Observability hooks are pre-bound at construction (a session binds once,
   at ``__init__``) so a disabled run pays one ``is not None`` check per
   event instead of chained attribute loads.
-
-The structure behind the batches is selectable: the default tie-batched
-binary heap, or an opt-in calendar queue (``Simulator(scheduler="calendar")``,
-ambient :func:`scheduling`, or the ``REPRO_SIM_SCHEDULER`` environment
-variable).  Both produce byte-identical runs; see
-:mod:`repro.sim.schedulers`.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.schedulers import make_scheduler
+from repro.sim.schedulers import TieBatchedHeap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.check.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.obs.spans import SpanCollector
-
-#: Ambient scheduler name; read once by each Simulator at construction.
-#: Seeded from the environment so sweep worker processes (fork or spawn)
-#: inherit the parent's selection.
-_ambient_scheduler: str = os.environ.get("REPRO_SIM_SCHEDULER", "heap")
-
-
-def ambient_scheduler() -> str:
-    """The scheduler simulators built right now will use by default."""
-    return _ambient_scheduler
-
-
-@contextmanager
-def scheduling(name: str) -> Iterator[None]:
-    """Select the future-event list for simulators constructed inside.
-
-    Mirrors :func:`repro.check.sanitizing`: the selection is ambient, and
-    it is exported through ``REPRO_SIM_SCHEDULER`` so sweep worker
-    processes build their simulators the same way.
-    """
-    global _ambient_scheduler
-    previous = _ambient_scheduler
-    previous_env = os.environ.get("REPRO_SIM_SCHEDULER")
-    _ambient_scheduler = name
-    os.environ["REPRO_SIM_SCHEDULER"] = name
-    try:
-        yield
-    finally:
-        _ambient_scheduler = previous
-        if previous_env is None:
-            os.environ.pop("REPRO_SIM_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SIM_SCHEDULER"] = previous_env
-
 
 class Event:
     """One scheduled callback.
@@ -132,13 +90,9 @@ class Simulator:
         metrics=None,
         sanitize: Optional[bool] = None,
         faults: Optional["FaultPlan"] = None,
-        scheduler: Optional[str] = None,
     ):
         self._now = 0.0
-        if scheduler is None:
-            scheduler = _ambient_scheduler
-        self.scheduler = scheduler
-        self._fel = make_scheduler(scheduler)
+        self._fel = TieBatchedHeap()
         self._sequence = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -223,7 +177,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events that have fired (plus fused-away credits)."""
+        """Number of events that have fired."""
         return self._events_processed
 
     @property
@@ -279,50 +233,16 @@ class Simulator:
             # Checks NaN/infinite delays and same-timestamp order
             # hazards; raises SanitizerError with a breadcrumb.
             self._sanitizer.on_schedule(self._now, delay, label)
-        return self._push(self._now + delay, action, label)
-
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` at absolute simulated ``time``."""
-        return self.schedule(time - self._now, action, label)
-
-    def schedule_abs(self, when: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule at the *exact* absolute timestamp ``when``.
-
-        ``schedule_at`` re-derives ``now + (when - now)``, which can land an
-        ulp off ``when``.  Fused operator chains need the bit-identical
-        timestamp the unfused chain's cascading ``schedule`` calls would
-        have produced, so this entry point stores ``when`` untouched.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (at={when}, now={self._now})"
-            )
-        if self._sanitizer is not None:
-            self._sanitizer.on_schedule(self._now, when - self._now, label, at=when)
-        return self._push(when, action, label)
-
-    def _push(self, when: float, action: Callable[[], None], label: str) -> Event:
+        when = self._now + delay
         event = Event(when, next(self._sequence), action, label)
         event._sim = self
         self._fel.push(when, event)
         self._live += 1
         return event
 
-    def count_fused(self, events: int) -> None:
-        """Credit ``events`` collapsed-away logical events to the totals.
-
-        Operator fusion (:mod:`repro.sim.fusion`) replaces a deterministic
-        chain of ``k`` engine events with one; the fused site credits
-        ``k - 1`` here when the fused event fires, keeping
-        ``events_processed`` and the ``sim.events`` counter identical to
-        the unfused run — reports and the bench trajectory stay comparable
-        across the flag.
-        """
-        if events <= 0:
-            return
-        self._events_processed += events
-        if self._event_counter is not None:
-            self._event_counter.add(events)
+    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
+        """Schedule ``action`` at absolute simulated ``time``."""
+        return self.schedule(time - self._now, action, label)
 
     # -- execution --------------------------------------------------------------
 

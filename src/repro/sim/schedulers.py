@@ -1,48 +1,26 @@
-"""Future-event-list structures behind :class:`repro.sim.engine.Simulator`.
+"""The future-event list behind :class:`repro.sim.engine.Simulator`.
 
-Both structures key on *distinct* timestamps and keep a FIFO bucket of
-events per timestamp, so the engine dequeues whole same-time **batches**:
-one priority-queue operation per distinct timestamp instead of one per
-event.  Within a bucket, events sit in scheduling order (the engine's
-sequence numbers are monotone and a bucket only ever grows by append),
-which preserves the engine's tie-break contract exactly.
-
-* :class:`TieBatchedHeap` — the default.  A binary heap of distinct
-  timestamps plus a ``time -> [events]`` bucket dict.  Workloads with
-  heavy timestamp ties (rings full of synchronized hops, the bench
-  microloop) collapse ``O(n log n)`` heap traffic into ``O(d log d)`` for
-  ``d`` distinct times.
-* :class:`CalendarQueue` — opt-in via ``Simulator(scheduler="calendar")``.
-  R. Brown's calendar queue: a wheel of day-buckets of width ``w``; a
-  timestamp lands in day ``int(t / w) % ndays``.  Amortized O(1)
-  enqueue/dequeue when the width tracks the mean inter-event gap, which a
-  doubling/halving resize maintains.  Dequeue scans days in calendar
-  order and takes the minimum timestamp belonging to the day under the
-  scan cursor, falling back to a direct minimum when a whole year passes
-  without a hit (all events far in the future); day membership is always
-  computed as ``int(t / w)`` — never via derived window bounds — so
-  placement and search can never disagree by a rounding ulp.
-
-Both structures yield bit-identical event order (the engine's
-``(time, sequence)`` total order); the calendar queue is validated
-against the heap by property tests and the experiment byte-identity gate
-(``repro check --scheduler-identity``).
+:class:`TieBatchedHeap` keys on *distinct* timestamps and keeps a FIFO
+bucket of events per timestamp, so the engine dequeues whole same-time
+**batches**: one priority-queue operation per distinct timestamp instead
+of one per event.  Workloads with heavy timestamp ties (rings full of
+synchronized hops, the bench microloop) collapse ``O(n log n)`` heap
+traffic into ``O(d log d)`` for ``d`` distinct times.  Within a bucket,
+events sit in scheduling order (the engine's sequence numbers are
+monotone and a bucket only ever grows by append), which preserves the
+engine's ``(time, sequence)`` tie-break contract exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
-
-from repro.errors import SimulationError
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.engine import Event
 
 #: A dequeued batch: the timestamp plus its events in scheduling order.
 Batch = Tuple[float, List["Event"]]
-
-SCHEDULER_NAMES = ("heap", "calendar")
 
 
 class TieBatchedHeap:
@@ -74,124 +52,3 @@ class TieBatchedHeap:
     def __len__(self) -> int:
         """Distinct pending timestamps (not event count)."""
         return len(self._times)
-
-
-class CalendarQueue:
-    """Brown's calendar queue over distinct timestamps.
-
-    The wheel holds *timestamps*; the per-timestamp event FIFOs live in
-    ``_ties``, so wheel occupancy tracks distinct times — the quantity the
-    width heuristic needs.  Correctness does not depend on the width: a
-    bad width only degrades the scan toward O(days).
-    """
-
-    __slots__ = ("_width", "_ndays", "_wheel", "_ties", "_count", "_floor", "_cached")
-
-    #: Wheel sizes double/halve around this minimum.
-    MIN_DAYS = 8
-
-    def __init__(self, width: float = 1.0, ndays: int = MIN_DAYS) -> None:
-        self._width = width
-        self._ndays = ndays
-        self._wheel: List[List[float]] = [[] for _ in range(ndays)]
-        self._ties: Dict[float, List["Event"]] = {}
-        self._count = 0  # distinct pending timestamps
-        self._floor = 0.0  # lower bound on every pending timestamp
-        self._cached: Optional[float] = None  # memoized minimum
-
-    def push(self, when: float, event: "Event") -> None:
-        bucket = self._ties.get(when)
-        if bucket is not None:
-            bucket.append(event)  # tie: no new wheel entry, minimum unchanged
-            return
-        self._ties[when] = [event]
-        self._wheel[int(when / self._width) % self._ndays].append(when)
-        self._count += 1
-        if self._cached is not None and when < self._cached:
-            self._cached = when
-        if self._count > 2 * self._ndays:
-            self._resize(2 * self._ndays)
-
-    def peek_time(self) -> Optional[float]:
-        """The earliest pending timestamp, or None when empty."""
-        if not self._count:
-            return None
-        if self._cached is None:
-            self._cached = self._find_min()
-        return self._cached
-
-    def pop_batch(self) -> Batch:
-        """Remove and return the earliest ``(time, events)`` batch."""
-        when = self._cached if self._cached is not None else self._find_min()
-        self._wheel[int(when / self._width) % self._ndays].remove(when)
-        self._count -= 1
-        self._floor = when
-        self._cached = None
-        events = self._ties.pop(when)
-        if self._ndays > self.MIN_DAYS and self._count < self._ndays // 2:
-            self._resize(self._ndays // 2)
-        return when, events
-
-    def __len__(self) -> int:
-        """Distinct pending timestamps (not event count)."""
-        return self._count
-
-    # -- internals -----------------------------------------------------------
-
-    def _find_min(self) -> float:
-        """The smallest pending timestamp.
-
-        Scans days starting from the day of ``_floor`` (every pending
-        timestamp is >= ``_floor``: events are only scheduled at or after
-        the clock, and the clock never passes an undequeued event).  A
-        day's candidates are the wheel-bucket entries whose *computed day
-        index* equals the scan cursor — the same ``int(t / width)``
-        arithmetic ``push`` used, so a timestamp can never fall between
-        two days.  A full revolution without a hit means everything is
-        over a year away: take the direct minimum.
-        """
-        width = self._width
-        ndays = self._ndays
-        day = int(self._floor / width)
-        for _ in range(ndays):
-            bucket = self._wheel[day % ndays]
-            if bucket:
-                best: Optional[float] = None
-                for when in bucket:
-                    if int(when / width) == day and (best is None or when < best):
-                        best = when
-                if best is not None:
-                    return best
-            day += 1
-        return min(when for bucket in self._wheel for when in bucket)
-
-    def _resize(self, ndays: int) -> None:
-        """Rebuild the wheel with ``ndays`` days and a re-estimated width."""
-        times = [when for bucket in self._wheel for when in bucket]
-        if len(times) > 1:
-            span = max(times) - min(times)
-            if span > 0.0:
-                # Aim for ~one distinct timestamp per day.
-                self._width = span / len(times)
-        self._ndays = ndays
-        self._wheel = [[] for _ in range(ndays)]
-        width = self._width
-        for when in times:
-            self._wheel[int(when / width) % ndays].append(when)
-        self._cached = None
-
-
-#: The engine programs against this union; both classes expose
-#: push / peek_time / pop_batch / __len__.
-FutureEventList = Union[TieBatchedHeap, CalendarQueue]
-
-
-def make_scheduler(name: str) -> FutureEventList:
-    """Build the named future-event list; raises on unknown names."""
-    if name == "heap":
-        return TieBatchedHeap()
-    if name == "calendar":
-        return CalendarQueue()
-    raise SimulationError(
-        f"unknown scheduler {name!r} (choose from {', '.join(SCHEDULER_NAMES)})"
-    )

@@ -1,10 +1,8 @@
-"""The interprocedural flow analyses: call graph, lock order, effects.
+"""The interprocedural flow analysis: call graph and lock order.
 
 Covers the ``repro.check.flow`` subpackage (F001 deadlock detection with
-witness chains, F002 fusion-safety proofs), the runtime
-``LockOrderWitness``, the new lint rules R006-R010, multi-id ``allow[]``
-suppression, the output renderers, and the fusion-safety gate inside
-``resolve_fusion``.
+witness chains), the runtime ``LockOrderWitness``, the lint rules
+R006-R010, multi-id ``allow[]`` suppression, and the output renderers.
 """
 
 import json
@@ -13,14 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.check.flow import (
-    analyze_fusion_safety,
     analyze_lock_order,
     analyze_paths,
     build_call_graph,
     flow_self_test,
 )
 from repro.check.flow.callgraph import CallGraph
-from repro.check.flow.effects import DURATION_PURE, EFFECTFUL, PURE, classify_effects
 from repro.check.lint import lint_source, self_test
 from repro.check.render import render, render_github, render_sarif
 from repro.check.sanitizer import LockOrderWitness, active_witness, sanitizing
@@ -192,118 +188,6 @@ def test_project_tree_has_no_lock_cycles():
     assert any(s.function.endswith("MasterController.try_admit") for s in analysis.sites)
 
 
-# --------------------------------------------------------------------- effects
-
-
-def test_effect_lattice_classification():
-    graph = graph_of(
-        "def pure(a, b):\n"
-        "    return a + b\n"
-        "class M:\n"
-        "    def duration(self, rows):\n"
-        "        return rows * self.per_row\n"
-        "    def effectful(self, rows):\n"
-        "        self.count = self.count + rows\n"
-        "        return rows\n"
-    )
-    effects = classify_effects(graph)
-    assert effects[f"{SIM_PATH}::pure"] == PURE
-    assert effects[f"{SIM_PATH}::M.duration"] == DURATION_PURE
-    assert effects[f"{SIM_PATH}::M.effectful"] == EFFECTFUL
-
-
-def test_effectful_callee_poisons_caller_through_fixpoint():
-    graph = graph_of(
-        "class M:\n"
-        "    def leaf(self):\n"
-        "        self.hits = 1\n"
-        "    def mid(self):\n"
-        "        return self.leaf()\n"
-        "    def top(self):\n"
-        "        return self.mid()\n"
-    )
-    effects = classify_effects(graph)
-    assert effects[f"{SIM_PATH}::M.top"] == EFFECTFUL
-
-
-def test_raise_context_call_is_exempt():
-    graph = graph_of(
-        "def f(x):\n"
-        "    if x < 0:\n"
-        "        raise ValueError(f'bad {x}')\n"
-        "    return x\n"
-    )
-    assert classify_effects(graph)[f"{SIM_PATH}::f"] == PURE
-
-
-def test_unresolved_call_classifies_effectful():
-    graph = graph_of("def f(x):\n    return mystery(x)\n")
-    assert classify_effects(graph)[f"{SIM_PATH}::f"] == EFFECTFUL
-
-
-def test_annotations_do_not_demote_purity():
-    graph = graph_of(
-        "from __future__ import annotations\n"
-        "def f(x: SomeType) -> OtherType:\n"
-        "    return x\n"
-    )
-    assert classify_effects(graph)[f"{SIM_PATH}::f"] == PURE
-
-
-# --------------------------------------------------------------- fusion safety
-
-
-UNSAFE_CHAIN = (
-    "class Operator:\n"
-    "    def scan_cost_ms(self, rows):\n"
-    "        self.calls = self.calls + 1\n"
-    "        return rows * 0.25\n"
-    "\n"
-    "    def charge(self, rows):\n"
-    "        return fused_chain_end([self.scan_cost_ms(rows)])\n"
-)
-
-
-def test_effectful_obligation_makes_chain_unsafe():
-    report = analyze_fusion_safety(graph_of(UNSAFE_CHAIN))
-    assert len(report.chains) == 1
-    chain = report.chains[0]
-    assert not chain.safe
-    assert chain.unsafe[0][0] == "scan_cost_ms"
-    assert not report.module_proven_safe(SIM_PATH)
-
-
-def test_duration_pure_obligations_prove_the_chain():
-    safe = UNSAFE_CHAIN.replace("        self.calls = self.calls + 1\n", "")
-    report = analyze_fusion_safety(graph_of(safe))
-    assert len(report.chains) == 1
-    assert report.chains[0].safe
-    assert report.module_proven_safe(SIM_PATH)
-
-
-def test_module_without_chains_is_not_proven():
-    # Fail closed: a scan that finds nothing is a broken scan, not a
-    # safety certificate.
-    report = analyze_fusion_safety(graph_of("def f():\n    pass\n"))
-    assert not report.module_proven_safe(SIM_PATH)
-
-
-def test_project_machines_are_proven_safe():
-    report = analyze_fusion_safety(build_call_graph([str(SRC)]))
-    assert report.module_proven_safe("repro/ring/processor.py")
-    assert report.module_proven_safe("repro/direct/machine.py")
-    assert report.unsafe_chains() == []
-
-
-def test_report_to_dict_is_byte_stable():
-    report = analyze_fusion_safety(graph_of(UNSAFE_CHAIN))
-    first = json.dumps(report.to_dict(), sort_keys=True)
-    second = json.dumps(
-        analyze_fusion_safety(graph_of(UNSAFE_CHAIN)).to_dict(), sort_keys=True
-    )
-    assert first == second
-
-
 # ------------------------------------------------------------------ the driver
 
 
@@ -318,10 +202,10 @@ def test_flow_self_test_passes():
 def test_seeded_violations_produce_findings(tmp_path):
     scratch = tmp_path / "repro" / "sim"
     scratch.mkdir(parents=True)
-    (scratch / "bad.py").write_text(INVERTED + "\n\n" + UNSAFE_CHAIN)
+    (scratch / "bad.py").write_text(INVERTED)
     findings = analyze_paths([str(tmp_path)])
     rules = {f.rule for f in findings}
-    assert rules == {"F001", "F002"}
+    assert rules == {"F001"}
     deadlock = next(f for f in findings if f.rule == "F001")
     assert "->" in deadlock.message  # witness chain present
     assert deadlock.line > 0
@@ -369,30 +253,6 @@ def test_r006_silent_on_consistent_order():
         "    self.lock_b.release(r)\n"
     )
     assert "R006" not in rules_in(consistent)
-
-
-def test_r007_fires_on_attribute_write_in_duration_callable():
-    source = "def scan_cost_ms(self, rows):\n    self.calls = 1\n    return rows\n"
-    assert "R007" in rules_in(source)
-
-
-def test_r007_silent_on_reads_and_local_stores():
-    source = (
-        "def join_cpu_ms(self, rows):\n"
-        "    per_pair = self.join_pair_ms\n"
-        "    return rows * per_pair\n"
-    )
-    assert "R007" not in rules_in(source)
-
-
-def test_r007_ignores_nested_closures():
-    source = (
-        "def cost_ms(self, rows):\n"
-        "    def settle():\n"
-        "        self.counter = 1\n"
-        "    return rows\n"
-    )
-    assert "R007" not in rules_in(source)
 
 
 def test_r008_fires_on_mutable_default():
@@ -467,7 +327,7 @@ def test_sarif_document_shape():
     assert location["region"]["startLine"] == 3
     assert location["region"]["startColumn"] >= 1
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"R006", "R007", "R008", "R009", "R010", "F001", "F002"} <= rule_ids
+    assert {"R006", "R008", "R009", "R010", "F001"} <= rule_ids
 
 
 def test_github_format_emits_error_annotations():
@@ -569,39 +429,3 @@ def test_zero_inversion_serving_run_is_byte_identical_to_unwitnessed():
     with sanitizing():
         witnessed = json.dumps(serve(config), sort_keys=True)
     assert witnessed == plain
-
-
-# ----------------------------------------------------------- resolve_fusion gate
-
-
-def test_resolve_fusion_grants_proven_components():
-    from repro.sim.engine import Simulator
-    from repro.sim.fusion import resolve_fusion
-
-    sim = Simulator()
-    assert resolve_fusion(True, sim, component="ring")
-    assert resolve_fusion(True, sim, component="direct")
-
-
-def test_resolve_fusion_refuses_unknown_component():
-    from repro.sim.engine import Simulator
-    from repro.sim.fusion import resolve_fusion
-
-    assert not resolve_fusion(True, Simulator(), component="mystery")
-
-
-def test_resolve_fusion_without_component_is_ungated():
-    from repro.sim.engine import Simulator
-    from repro.sim.fusion import resolve_fusion
-
-    assert resolve_fusion(True, Simulator())
-    assert not resolve_fusion(False, Simulator())
-
-
-def test_machines_still_fuse_with_the_gate_active():
-    from repro.ring.machine import RingMachine
-    from repro.workload.generator import generate_benchmark_database
-
-    db = generate_benchmark_database(scale=0.02, seed=7, b_domain=25)
-    machine = RingMachine(db.catalog, processors=2, fuse_ops=True)
-    assert machine.fuse_ops

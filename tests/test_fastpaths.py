@@ -1,9 +1,9 @@
-"""Exactness of the relational fast paths and the identity gates.
+"""Exactness of the relational fast paths and the identity gate.
 
 Every optimization in this file's scope (unchecked bulk appends, packed
-page memoization, the validated packing path, operator fusion, the
-calendar scheduler) is only legal because it is *observably identical* to
-the slow path it replaces — these tests pin that equivalence.
+page memoization, the validated packing path) is only legal because it
+is *observably identical* to the slow path it replaces — these tests pin
+that equivalence.
 """
 
 import pytest
@@ -116,27 +116,7 @@ def test_generator_bulk_load_matches_seeded_expectation():
     assert all(p.is_full for p in rel.pages[:-1])
 
 
-# ------------------------------------------------------------ identity gates
-
-
-def test_scheduler_identity_on_quick_subset():
-    from repro.check.identity import identity_mismatches
-
-    assert identity_mismatches("scheduler", ["packets", "project"]) == []
-
-
-def test_fusion_identity_on_quick_subset():
-    from repro.check.identity import identity_mismatches
-
-    assert identity_mismatches("fusion", ["packets", "project"]) == []
-
-
-def test_identity_rejects_unknown_axis():
-    from repro.check.identity import identity_mismatches
-    from repro.errors import CheckError
-
-    with pytest.raises(CheckError):
-        identity_mismatches("voltage", ["packets"])
+# ------------------------------------------------------------- identity gate
 
 
 def test_identity_rejects_unknown_experiment():

@@ -1,64 +1,33 @@
-"""Future-event-list structures: heap/calendar equivalence and internals.
+"""The tie-batched heap and the fire order it gives the simulator.
 
-The calendar queue is only allowed to exist because it is observably
-identical to the tie-batched heap: same batches, same order, same clock.
-The property tests here drive both through randomized workloads (ties,
-cancellations, mid-run scheduling) and require identical fire sequences.
+The engine's contract is a total ``(time, sequence)`` order: events fire
+in timestamp order, and same-time events fire in the order they were
+scheduled.  The unit tests pin the heap's batch structure; the property
+test drives a ``Simulator`` through randomized workloads (ties, zero
+delays, cancellations, mid-run scheduling, horizon stops and single
+steps) and checks its fire order against a plain ``sorted`` reference.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import Simulator, ambient_scheduler, scheduling
-from repro.sim.schedulers import CalendarQueue, TieBatchedHeap, make_scheduler
-
-
-# ------------------------------------------------------------ construction
-
-
-def test_make_scheduler_names():
-    assert isinstance(make_scheduler("heap"), TieBatchedHeap)
-    assert isinstance(make_scheduler("calendar"), CalendarQueue)
-
-
-def test_make_scheduler_rejects_unknown():
-    with pytest.raises(SimulationError):
-        make_scheduler("fibonacci")
-
-
-def test_simulator_rejects_unknown_scheduler():
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="fibonacci")
-
-
-def test_scheduling_context_is_ambient_and_exported(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-    assert ambient_scheduler() == "heap"
-    with scheduling("calendar"):
-        assert ambient_scheduler() == "calendar"
-        assert Simulator().scheduler == "calendar"
-        import os
-
-        assert os.environ["REPRO_SIM_SCHEDULER"] == "calendar"
-    assert ambient_scheduler() == "heap"
-    assert Simulator().scheduler == "heap"
+from repro.sim.engine import Simulator
+from repro.sim.schedulers import TieBatchedHeap
 
 
 # ------------------------------------------------------------ structure units
 
 
 class _Tag:
-    """Stand-in event: the structures store, never inspect."""
+    """Stand-in event: the heap stores, never inspects."""
 
     def __init__(self, n):
         self.n = n
 
 
-@pytest.mark.parametrize("name", ["heap", "calendar"])
-def test_batches_come_out_in_time_order_with_fifo_ties(name):
-    fel = make_scheduler(name)
+def test_batches_come_out_in_time_order_with_fifo_ties():
+    fel = TieBatchedHeap()
     fel.push(2.0, _Tag("b1"))
     fel.push(1.0, _Tag("a1"))
     fel.push(2.0, _Tag("b2"))
@@ -70,89 +39,85 @@ def test_batches_come_out_in_time_order_with_fifo_ties(name):
     assert fel.peek_time() is None
 
 
-@pytest.mark.parametrize("name", ["heap", "calendar"])
-def test_len_counts_distinct_timestamps(name):
-    fel = make_scheduler(name)
+def test_len_counts_distinct_timestamps():
+    fel = TieBatchedHeap()
     for when in (1.0, 1.0, 2.0, 3.0, 3.0, 3.0):
         fel.push(when, _Tag(when))
     assert len(fel) == 3
 
 
-def test_calendar_resize_grows_and_shrinks():
-    cq = CalendarQueue()
-    times = [float(i) * 0.37 for i in range(200)]  # >> 2 * MIN_DAYS distinct
-    rng = random.Random(7)
-    rng.shuffle(times)
-    for when in times:
-        cq.push(when, _Tag(when))
-    assert cq._ndays > CalendarQueue.MIN_DAYS  # doubling happened
-    popped = []
-    while cq.peek_time() is not None:
-        when, batch = cq.pop_batch()
-        popped.append(when)
-        assert [e.n for e in batch] == [when]
-    assert popped == sorted(times)
-    assert cq._ndays == CalendarQueue.MIN_DAYS  # halved back down
+# ------------------------------------------------------------ property test
 
 
-def test_calendar_far_future_fallback():
-    # Everything more than a wheel revolution away: the scan gives up and
-    # takes the direct minimum instead of spinning.
-    cq = CalendarQueue()
-    cq.push(1.0e6, _Tag("far"))
-    cq.push(2.0e6, _Tag("farther"))
-    assert cq.peek_time() == 1.0e6
-    when, batch = cq.pop_batch()
-    assert when == 1.0e6 and batch[0].n == "far"
+def _random_workload(seed: int):
+    """Drive a simulator through a seeded workload.
 
-
-def test_calendar_push_below_cached_minimum_updates_peek():
-    cq = CalendarQueue()
-    cq.push(5.0, _Tag("later"))
-    assert cq.peek_time() == 5.0
-    cq.push(1.0, _Tag("sooner"))
-    assert cq.peek_time() == 1.0
-
-
-# ------------------------------------------------------------ property tests
-
-
-def _random_workload(scheduler: str, seed: int):
-    """Run a randomized schedule/cancel workload; return the fire trace."""
+    Returns ``(fired, expected, scheduled, sim)``: the ``(time, order)``
+    pairs in the order the simulator fired them, the reference order —
+    every scheduled event not cancelled before it fired, sorted by
+    ``(time, order)`` where ``order`` counts ``schedule`` calls — and the
+    number of ``schedule`` calls.
+    """
     rng = random.Random(seed)
-    sim = Simulator(scheduler=scheduler)
-    trace = []
-    cancellable = []
+    sim = Simulator()
+    scheduled = []  # order -> [time, event, cancelled-before-firing]
+    fired = []
 
-    def fire(tag):
-        trace.append((sim.now, tag))
-        # Mid-run scheduling, with deliberate timestamp ties (quantized
-        # delays) and occasional same-time (delay 0) events.
-        if rng.random() < 0.4:
-            delay = rng.choice([0.0, 0.5, 1.0, 1.0, 2.5])
-            tag2 = f"{tag}.{len(trace)}"
-            cancellable.append(sim.schedule(delay, lambda t=tag2: fire(t)))
-        if cancellable and rng.random() < 0.2:
-            cancellable.pop(rng.randrange(len(cancellable))).cancel()
+    def schedule(delay):
+        order = len(scheduled)
+        when = sim.now + delay
+        event = sim.schedule(delay, lambda: fire(when, order), label=f"e{order}")
+        scheduled.append([when, event, False])
 
-    for i in range(60):
-        delay = rng.choice([0.0, 0.25, 1.0, 1.0, 3.0, 7.5])
-        cancellable.append(sim.schedule(delay, lambda t=f"e{i}": fire(t)))
-    sim.run(max_events=50_000)
-    return trace, sim.events_processed, sim.now
+    def fire(when, order):
+        assert sim.now == when
+        fired.append((when, order))
+        # Mid-run scheduling with quantized delays (timestamp ties) and
+        # same-time (delay 0) events.
+        if rng.random() < 0.45:
+            schedule(rng.choice([0.0, 0.5, 1.0, 1.0, 2.5]))
+        if rng.random() < 0.2:
+            entry = scheduled[rng.randrange(len(scheduled))]
+            if not entry[1].fired:
+                entry[2] = True
+            entry[1].cancel()
+
+    for _ in range(60):
+        schedule(rng.choice([0.0, 0.25, 1.0, 1.0, 3.0, 7.5]))
+    # Horizon stops land on, between and past event timestamps; single
+    # steps in between resume mid-batch.
+    horizon = 0.0
+    while sim.pending > 0:
+        horizon += rng.choice([0.0, 0.25, 0.5, 1.0, 2.0])
+        assert sim.run(until=horizon) == horizon
+        assert all(when <= horizon for when, _ in fired)
+        for _ in range(rng.randrange(3)):
+            sim.step()
+        horizon = sim.now
+    assert not sim.step()
+    expected = sorted(
+        (when, order)
+        for order, (when, _event, cancelled) in enumerate(scheduled)
+        if not cancelled
+    )
+    return fired, expected, len(scheduled), sim
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 17, 1979])
-def test_calendar_fire_sequence_identical_to_heap(seed):
-    heap_trace = _random_workload("heap", seed)
-    calendar_trace = _random_workload("calendar", seed)
-    assert calendar_trace == heap_trace
+def test_fire_order_matches_sorted_time_sequence_reference(seed):
+    fired, expected, scheduled, sim = _random_workload(seed)
+    assert fired == expected
+    assert sim.events_processed == len(fired)
+    assert sim.pending == 0
+    # The workload really exercises ties and cancellations.
+    times = [when for when, _ in fired]
+    assert len(set(times)) < len(times)
+    assert len(expected) < scheduled
 
 
-@pytest.mark.parametrize("name", ["heap", "calendar"])
-def test_until_horizon_equivalence(name):
-    # Horizon stops mid-stream must resume identically on either structure.
-    sim = Simulator(scheduler=name)
+def test_until_horizon_resumes_in_order():
+    # A horizon stop on a tied timestamp fires the whole tie, then resumes.
+    sim = Simulator()
     trace = []
     for i, t in enumerate((1.0, 4.0, 4.0, 9.0)):
         sim.schedule(t, lambda i=i: trace.append((sim.now, i)))

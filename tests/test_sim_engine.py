@@ -323,36 +323,3 @@ def test_run_inside_step_raises():
     sim.schedule(1.0, nested)
     with pytest.raises(SimulationError):
         sim.step()
-
-
-# ------------------------------------------------------- fused-event credits
-
-
-def test_count_fused_credits_events_processed():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: sim.count_fused(2))
-    sim.run()
-    assert sim.events_processed == 3
-
-
-def test_count_fused_ignores_nonpositive():
-    sim = Simulator()
-    sim.count_fused(0)
-    sim.count_fused(-4)
-    assert sim.events_processed == 0
-
-
-def test_schedule_abs_rejects_past():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_abs(4.0, lambda: None)
-
-
-def test_schedule_abs_stores_exact_timestamp():
-    sim = Simulator()
-    fired = []
-    sim.schedule(0.1, lambda: sim.schedule_abs(0.30000000000000004, lambda: fired.append(sim.now)))
-    sim.run()
-    assert fired == [0.30000000000000004]

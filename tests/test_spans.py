@@ -250,27 +250,9 @@ class TestExplainServing:
 
 
 def test_tracing_identity_on_quick_subset():
-    from repro.check.identity import identity_mismatches
+    from repro.check.identity import tracing_identity_mismatches
 
-    assert identity_mismatches("tracing", ["section_3_3", "packets"]) == []
-
-
-# -- fused chains compose into analytic sub-spans ----------------------------
-
-
-def test_fused_chain_spans_match_sequential_accumulation():
-    from repro.direct.exec_model import fused_chain_end, fused_chain_spans
-
-    now = 123.456
-    parts = (1.5, 2.25, 0.75)
-    links = fused_chain_spans(now, parts)
-    assert len(links) == len(parts)
-    cursor = now
-    for (start, duration), part in zip(links, parts):
-        assert start == cursor
-        assert duration == part
-        cursor = start + duration
-    assert cursor == fused_chain_end(now, parts)
+    assert tracing_identity_mismatches(["section_3_3", "packets"]) == []
 
 
 # -- serial fallback when spans are armed (satellite) ------------------------
