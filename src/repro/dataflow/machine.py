@@ -21,13 +21,11 @@ the produced relations against the reference interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro import hw
-from repro.errors import CrashError, FaultError, MachineError
+from repro.errors import MachineError
 from repro.direct.exec_model import ExecModel
-from repro.recovery.apply import apply_write
-from repro.recovery.txn import Transaction, TransactionManager
+from repro.host import MachineHost
 from repro.relational.catalog import Catalog
 from repro.relational.page import Page, page_capacity
 from repro.relational.relation import Relation
@@ -35,7 +33,6 @@ from repro.relational.schema import Row
 from repro.query.tree import AppendNode, DeleteNode, JoinNode, QueryTree, UpdateNode
 from repro.dataflow.cell import Cell, FiringUnit
 from repro.dataflow.program import DataflowProgram, compile_query
-from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
 
@@ -60,7 +57,7 @@ class DataflowReport:
         return self.arbitration_bytes * 8.0 / 1e6 / (self.elapsed_ms / 1000.0)
 
 
-class DataflowMachine:
+class DataflowMachine(MachineHost):
     """The MIT-model machine executing relational query trees."""
 
     def __init__(
@@ -78,14 +75,10 @@ class DataflowMachine:
             raise MachineError(f"unknown granularity {granularity!r}")
         if processors < 1:
             raise MachineError("need at least one processor")
-        self.catalog = catalog
+        super().__init__(catalog, page_bytes, model, max_events)
         self.granularity = granularity
-        self.page_bytes = page_bytes
-        self.model = model or ExecModel(page_bytes=page_bytes)
         self.network_rate = network_rate
-        self.max_events = max_events
 
-        self.sim = Simulator()
         self.arbitration = Resource(self.sim, "arbitration", capacity=network_width)
         self.distribution = Resource(self.sim, "distribution", capacity=network_width)
         self.processors = Resource(self.sim, "processors", capacity=processors)
@@ -94,17 +87,9 @@ class DataflowMachine:
         self._programs: List[DataflowProgram] = []
         self._assemblies: Dict[int, List[Row]] = {}
         self._results: Dict[str, List[Row]] = {}
-        self._query_done_at: Dict[str, float] = {}
         self.firings = 0
         self.arbitration_bytes = 0
         self.distribution_bytes = 0
-        #: Durable write transactions (see :meth:`attach_recovery`);
-        #: None means writes install in-memory only.
-        self.txn: Optional[TransactionManager] = None
-        self._write_txns: Dict[str, Transaction] = {}
-        #: Serving hook: ``(query_name, completed_at_ms, result_rows)``
-        #: on root-cell completion.
-        self.on_query_complete: Optional[Callable[[str, float, int], None]] = None
         #: True while :meth:`run_service` drives the loop — mid-run
         #: submissions then pump immediately.  Batch runs leave this off
         #: so their event sequence (and byte-identity) is unchanged.
@@ -112,53 +97,16 @@ class DataflowMachine:
 
     # ------------------------------------------------------------------ host API
 
-    def attach_recovery(self, tm: TransactionManager) -> None:
-        """Arm durable write transactions through ``tm``.
-
-        Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.  Like DIRECT, the data-flow machine has no
-        admission lock manager: conflicting writes must be serialized by
-        the caller (chained submission).
-        """
-        if not tm.store.pages:
-            tm.seed_from_catalog(self.catalog)
-        self.txn = tm
-        tm.register_sanitizer(self.sim)
-
-    def submit(self, tree: QueryTree) -> DataflowProgram:
+    def _accept(self, tree: QueryTree) -> None:
         """Compile ``tree`` into cells and add it to the memory section."""
-        root = tree.root
-        if (
-            self.txn is not None
-            and isinstance(root, (AppendNode, DeleteNode, UpdateNode))
-            and tree.name not in self._write_txns
-        ):
-            tree.validate(self.catalog)
-            self._write_txns[tree.name] = self.txn.begin(
-                tree.name,
-                root.target_relation,
-                root.output_schema(self.catalog),
-                append=isinstance(root, AppendNode),
-            )
         program = compile_query(tree, self.catalog, self.page_bytes)
+        self._begin_write(tree)
         self._programs.append(program)
         for cell in program.cells:
             self._assemblies[cell.cell_id] = []
             cell.tree_name = tree.name
-        if self.sim.spans is not None:
-            # Idempotent: the serve layer may have opened this record at
-            # offer time.
-            self.sim.spans.query_begin(tree.name, self.sim.now)
         if self._serving:
             self._pump_soon()
-        return program
-
-    def run(self) -> DataflowReport:
-        """Fire enabled cells until every query's root completes."""
-        if not self._programs:
-            raise MachineError("no queries submitted")
-        return self.run_service()
 
     def run_service(self) -> DataflowReport:
         """Drive the machine until the event heap drains, then report.
@@ -169,62 +117,20 @@ class DataflowMachine:
         self._serving = True
         self._arm_machine_crash()
         self.sim.schedule(0.0, self._pump, label="pump")
-        self.sim.run(max_events=self.max_events)
-        unfinished = [
-            p.tree.name for p in self._programs if not p.root.done
-        ]
-        if unfinished:
-            raise MachineError(f"data-flow machine stalled on: {unfinished}")
-        if self.txn is not None:
-            # Clean shutdown: force the log, flush every dirty page, and
-            # checkpoint — the sanitizer's dirty-page leak check runs next.
-            self.txn.shutdown()
-        self.sim.finalize_sanitizer()
+        elapsed = self._drain()
         return DataflowReport(
             granularity=self.granularity,
             processors=self._processor_count,
-            elapsed_ms=self.sim.now,
+            elapsed_ms=elapsed,
             firings=self.firings,
             arbitration_bytes=self.arbitration_bytes,
             distribution_bytes=self.distribution_bytes,
             results={
                 p.tree.name: self._result_relation(p) for p in self._programs
             },
-            query_times=dict(self._query_done_at),
+            query_times=self._query_times(),
             events_processed=self.sim.events_processed,
         )
-
-    def _arm_machine_crash(self) -> None:
-        """Schedule a whole-machine power cut if the plan draws one.
-
-        Mirrors the ring machine: the strike raises
-        :class:`repro.errors.CrashError` straight out of the event loop,
-        and the crash harness picks recovery up from the stable store.
-        """
-        inj = self.sim.faults
-        if inj is None:
-            return
-        spec = inj.armed_spec("machine_crash")
-        if spec is None or spec.rate <= 0:
-            return
-        if self.txn is None:
-            raise FaultError(
-                "fault plan arms machine_crash but no transaction manager "
-                "is attached (attach_recovery); a crash without durable "
-                "state cannot be recovered"
-            )
-        if not inj.decide("machine_crash", "machine", spec.rate):
-            return
-        at_ms = spec.at_ms + inj.uniform("machine_crash", "machine", 0.0, spec.window_ms)
-
-        def crash_now() -> None:
-            inj.count("machine.crash", "machine")
-            raise CrashError(
-                f"machine crash fault at t={self.sim.now:.3f}ms "
-                f"({len(self.txn.active)} transaction(s) in flight)"
-            )
-
-        self.sim.schedule_at(at_ms, crash_now, label="fault.machine_crash")
 
     def _result_relation(self, program: DataflowProgram) -> Relation:
         return Relation.from_rows(
@@ -254,7 +160,7 @@ class DataflowMachine:
         nbytes = self._packet_bytes(unit)
         self.arbitration_bytes += nbytes
 
-        query = self._tree_name_of(cell)
+        query = cell.tree_name
 
         def at_processor() -> None:
             cpu = self._cpu_ms(unit)
@@ -336,7 +242,7 @@ class DataflowMachine:
                 for destination, slot in cell.destinations:
                     destination.operands[slot].deliver(page)
             else:
-                tree_name = self._tree_name_of(cell)
+                tree_name = cell.tree_name
                 rows = list(page.rows())
                 self._results.setdefault(tree_name, []).extend(rows)
                 txn = self._write_txns.get(tree_name)
@@ -350,7 +256,7 @@ class DataflowMachine:
             nbytes / self.network_rate,
             delivered,
             nbytes=nbytes,
-            query=self._tree_name_of(cell),
+            query=cell.tree_name,
             span_kind="transit",
         )
 
@@ -366,39 +272,16 @@ class DataflowMachine:
         for destination, slot in cell.destinations:
             destination.operands[slot].finish()
         if not cell.destinations:
-            tree_name = self._tree_name_of(cell)
-            if tree_name not in self._query_done_at:
-                self._query_done_at[tree_name] = self.sim.now
-                if isinstance(cell.node, (AppendNode, DeleteNode, UpdateNode)):
-                    txn = self._write_txns.pop(tree_name, None)
-                    _, all_rows = apply_write(
-                        self.catalog,
-                        cell.node,
-                        self._results.get(tree_name, []),
-                        self.page_bytes,
-                        tm=self.txn if txn is not None else None,
-                        txn=txn,
-                    )
-                    # Write queries report the target's whole new content.
-                    self._results[tree_name] = all_rows
-                rows = len(self._results.get(tree_name, []))
-                if self.sim.spans is not None:
-                    self.sim.spans.query_end(tree_name, self.sim.now, rows)
-                if self.on_query_complete is not None:
-                    self.on_query_complete(tree_name, self.sim.now, rows)
+            name = cell.tree_name
+            if isinstance(cell.node, (AppendNode, DeleteNode, UpdateNode)):
+                self._results[name] = self._commit_write(
+                    name, cell.node, self._results.get(name, [])
+                )
+            self._complete_query(name, len(self._results.get(name, ())))
         self._pump_soon()
 
     def _pump_soon(self) -> None:
         self.sim.schedule(0.0, self._pump, label="pump")
-
-    def _tree_name_of(self, cell: Cell) -> str:
-        if cell.tree_name:
-            return cell.tree_name
-        # Fallback for cells built outside submit() (tests, tools): scan.
-        for program in self._programs:
-            if cell in program.cells:
-                return program.tree.name
-        raise MachineError(f"orphan cell {cell!r}")
 
 
 def run_dataflow(

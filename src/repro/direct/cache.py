@@ -25,6 +25,7 @@ is deterministic.
 from __future__ import annotations
 
 import itertools
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
@@ -35,6 +36,7 @@ from repro.direct import traffic as tlevels
 from repro.direct.exec_model import ExecModel
 from repro.direct.traffic import TrafficMeter
 from repro.relational.page import Page
+from repro.relational.relation import Relation
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
@@ -61,6 +63,25 @@ class PageRef:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PageRef) and other.key == self.key
+
+
+def base_page_refs(relation: Relation, page_bytes: int, num_disks: int) -> List[PageRef]:
+    """Machine-page-size images of a base relation, spread over the disks."""
+    # Shared read-only images, memoized on the relation: machines built
+    # over the same catalog repack nothing.
+    pages = relation.packed_pages(page_bytes)
+    salt = zlib.crc32(relation.name.encode("utf-8"))
+    return [
+        PageRef(
+            key=f"base:{relation.name}:{i}",
+            nbytes=page_bytes,
+            payload=page,
+            on_disk=True,
+            disk_id=(salt + i) % max(1, num_disks),
+            row_count=page.row_count,
+        )
+        for i, page in enumerate(pages)
+    ]
 
 
 @dataclass

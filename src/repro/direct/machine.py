@@ -25,12 +25,11 @@ Key modeled behaviours:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import hw
-from repro.errors import CrashError, FaultError, MachineError
+from repro.errors import MachineError
 from repro.direct import traffic as tlevels
 from repro.direct.cache import DiskCache, PageRef
 from repro.direct.exec_model import ExecModel
@@ -47,12 +46,9 @@ from repro.direct.instructions import (
 )
 from repro.direct.scheduler import Granularity, PAGE, pick_instruction
 from repro.direct.traffic import TrafficMeter
-from repro.recovery.apply import apply_write
-from repro.recovery.txn import Transaction, TransactionManager
+from repro.host import MachineHost
 from repro.relational.catalog import Catalog
-from repro.relational.page import Page
 from repro.relational.relation import Relation
-from repro.relational.schema import Row
 from repro.query.tree import (
     AppendNode,
     DeleteNode,
@@ -65,7 +61,6 @@ from repro.query.tree import (
     UnionNode,
     UpdateNode,
 )
-from repro.sim.engine import Simulator
 from repro.sim.resources import Resource, checked_utilization
 
 
@@ -88,24 +83,6 @@ class _Processor:
     @property
     def fully_idle(self) -> bool:
         return self.executing is None and self.staged is None
-
-
-@dataclass
-class QueryRun:
-    """Per-query execution record."""
-
-    tree: QueryTree
-    root_instruction: Instruction
-    submitted_at: float = 0.0
-    completed_at: Optional[float] = None
-    result_rows: int = 0
-
-    @property
-    def elapsed_ms(self) -> Optional[float]:
-        """Response time of this query, or None while running."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
 
 
 @dataclass
@@ -141,7 +118,7 @@ class DirectReport:
         return sum(self.traffic.values())
 
 
-class DirectMachine:
+class DirectMachine(MachineHost):
     """A configurable DIRECT-style MIMD database machine simulator."""
 
     def __init__(
@@ -163,15 +140,11 @@ class DirectMachine:
             raise MachineError("need at least one processor")
         if memory_cells not in (1, 2):
             raise MachineError("memory_cells must be 1 or 2")
-        self.catalog = catalog
+        super().__init__(catalog, page_bytes, model, max_events)
         self.granularity = granularity
-        self.page_bytes = page_bytes
-        self.model = model or ExecModel(page_bytes=page_bytes)
         self.memory_cells = memory_cells
         self.join_wait_timeout_ms = join_wait_timeout_ms
-        self.max_events = max_events
 
-        self.sim = Simulator()
         self.meter = TrafficMeter()
         self.processors = [_Processor(i) for i in range(processors)]
         if self.sim.spans is not None:
@@ -197,8 +170,8 @@ class DirectMachine:
         )
 
         self._instructions: List[Instruction] = []
-        self._runs: List[QueryRun] = []
-        self._base_pages: Dict[str, List[PageRef]] = {}
+        #: Result relation per completed query, built as it completes.
+        self._results: Dict[str, Relation] = {}
         self._finishing: Dict[int, bool] = {}
         self._pending_writes: Dict[int, int] = {}
 
@@ -213,75 +186,13 @@ class DirectMachine:
         self._overflowing: Dict[str, None] = {}
         self._buffer_reads: Dict[str, List[Callable[[], None]]] = {}
 
-        #: Durable write transactions (see :meth:`attach_recovery`);
-        #: None means writes install in-memory only, the pre-WAL behavior.
-        self.txn: Optional[TransactionManager] = None
-        self._write_txns: Dict[str, Transaction] = {}
-        self._write_results: Dict[str, List[Row]] = {}
-
-        #: Serving hook: called as ``(query_name, completed_at_ms,
-        #: result_rows)`` when a query's root instruction completes.
-        self.on_query_complete: Optional[Callable[[str, float, int], None]] = None
-        #: Serve mode disables per-query gauges (thousands of queries
-        #: would bloat the metrics registry).
-        self.publish_per_query_metrics = True
-
     # ------------------------------------------------------------------ setup
 
-    def _base_page_refs(self, relation_name: str) -> List[PageRef]:
-        """Machine-page-size images of a base relation (built once)."""
-        if relation_name not in self._base_pages:
-            relation = self.catalog.get(relation_name)
-            # Shared read-only images, memoized on the relation: machines
-            # built over the same catalog repack nothing.
-            pages = relation.packed_pages(self.page_bytes)
-            salt = zlib.crc32(relation_name.encode("utf-8"))
-            refs = [
-                PageRef(
-                    key=f"base:{relation_name}:{i}",
-                    nbytes=self.page_bytes,
-                    payload=page,
-                    on_disk=True,
-                    disk_id=(salt + i) % max(1, len(self.disks)),
-                    row_count=page.row_count,
-                )
-                for i, page in enumerate(pages)
-            ]
-            self._base_pages[relation_name] = refs
-        return self._base_pages[relation_name]
-
-    def attach_recovery(self, tm: TransactionManager) -> None:
-        """Arm durable write transactions through ``tm``.
-
-        Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.  DIRECT has no admission lock manager, so
-        callers must serialize conflicting writes themselves (the crash
-        harness and serve layer chain write submissions back-to-back).
-        """
-        if not tm.store.pages:
-            tm.seed_from_catalog(self.catalog)
-        self.txn = tm
-        tm.register_sanitizer(self.sim)
-
-    def submit(self, tree: QueryTree) -> QueryRun:
+    def _accept(self, tree: QueryTree) -> None:
         """Compile ``tree`` into instructions and queue it for execution."""
         tree.validate(self.catalog)
-        root = tree.root
-        if (
-            self.txn is not None
-            and isinstance(root, (AppendNode, DeleteNode, UpdateNode))
-            and tree.name not in self._write_txns
-        ):
-            self._write_txns[tree.name] = self.txn.begin(
-                tree.name,
-                root.target_relation,
-                root.output_schema(self.catalog),
-                append=isinstance(root, AppendNode),
-            )
+        self._begin_write(tree)
         by_node: Dict[int, Instruction] = {}
-        root_instr: Optional[Instruction] = None
-
         for node in tree.nodes():
             if isinstance(node, ScanNode):
                 continue
@@ -291,14 +202,13 @@ class DirectMachine:
             self._finishing[id(instr)] = False
             self._pending_writes[id(instr)] = 0
             self._buffer_fifo[id(instr)] = []
-            root_instr = instr
 
             # Wire operands: base relations deliver at start; child
             # instructions register this one as their consumer.
             operand_children = self._operand_children(node)
             for idx, child in enumerate(operand_children):
                 if isinstance(child, ScanNode):
-                    refs = self._base_page_refs(child.relation_name)
+                    refs = self._base_pages_of(child.relation_name)
                     self.sim.schedule(
                         0.0,
                         lambda i=instr, x=idx, r=refs: self._deliver_base(i, x, r),
@@ -307,18 +217,11 @@ class DirectMachine:
                 else:
                     by_node[child.node_id].consumers.append((instr, idx))
 
-        if root_instr is None:
+        if not by_node:
             raise MachineError(
                 f"query {tree.name} compiles to no instructions "
                 f"(bare scans are not executable work)"
             )
-        run = QueryRun(tree=tree, root_instruction=root_instr, submitted_at=self.sim.now)
-        self._runs.append(run)
-        if self.sim.spans is not None:
-            # Idempotent: the serve layer may have opened this record at
-            # offer time; direct submission opens it here.
-            self.sim.spans.query_begin(tree.name, self.sim.now)
-        return run
 
     def _compile_node(self, node: QueryNode, tree: QueryTree) -> Instruction:
         if isinstance(node, RestrictNode):
@@ -380,12 +283,6 @@ class DirectMachine:
 
     # ------------------------------------------------------------------ run
 
-    def run(self) -> DirectReport:
-        """Execute every submitted query to completion and report."""
-        if not self._runs:
-            raise MachineError("no queries submitted")
-        return self.run_service()
-
     def run_service(self) -> DirectReport:
         """Drive the machine until the event heap drains, then report.
 
@@ -394,19 +291,7 @@ class DirectMachine:
         every query submitted must still finish before the heap drains.
         """
         self._arm_machine_crash()
-        self.sim.run(max_events=self.max_events)
-        unfinished = [r.tree.name for r in self._runs if r.completed_at is None]
-        if unfinished:
-            raise MachineError(
-                f"simulation drained with unfinished queries: {unfinished}"
-            )
-        if self.txn is not None:
-            # Clean shutdown: force the log, flush every dirty page, and
-            # checkpoint — the sanitizer's dirty-page leak check runs next.
-            self.txn.shutdown()
-        self.sim.finalize_sanitizer()
-        self.sim.finalize_faults()
-        elapsed = self.sim.now
+        elapsed = self._drain()
         busy = sum(p.busy_ms for p in self.processors)
         utilization = checked_utilization(
             self.sim, busy, elapsed, len(self.processors), "direct.processors"
@@ -419,99 +304,21 @@ class DirectMachine:
             traffic=self.meter.snapshot(),
             interconnect_bytes=self.meter.interconnect_bytes,
             disk_bytes=self.meter.disk_bytes,
-            query_times={r.tree.name: r.elapsed_ms for r in self._runs},
-            results={r.tree.name: self._result_relation(r) for r in self._runs},
+            query_times=self._query_times(),
+            results={name: self._results[name] for name in self._runs},
             processor_utilization=utilization,
             events_processed=self.sim.events_processed,
         )
-
-    def _arm_machine_crash(self) -> None:
-        """Schedule a whole-machine power cut if the plan draws one.
-
-        Mirrors the ring machine: the strike raises
-        :class:`repro.errors.CrashError` straight out of the event loop,
-        and the crash harness picks recovery up from the stable store.
-        """
-        inj = self.sim.faults
-        if inj is None:
-            return
-        spec = inj.armed_spec("machine_crash")
-        if spec is None or spec.rate <= 0:
-            return
-        if self.txn is None:
-            raise FaultError(
-                "fault plan arms machine_crash but no transaction manager "
-                "is attached (attach_recovery); a crash without durable "
-                "state cannot be recovered"
-            )
-        if not inj.decide("machine_crash", "machine", spec.rate):
-            return
-        at_ms = spec.at_ms + inj.uniform("machine_crash", "machine", 0.0, spec.window_ms)
-
-        def crash_now() -> None:
-            inj.count("machine.crash", "machine")
-            raise CrashError(
-                f"machine crash fault at t={self.sim.now:.3f}ms "
-                f"({len(self.txn.active)} transaction(s) in flight)"
-            )
-
-        self.sim.schedule_at(at_ms, crash_now, label="fault.machine_crash")
 
     def _publish_metrics(self, elapsed: float, utilization: float) -> None:
         """Summarize the run into the metrics registry (stable names)."""
         metrics = self.sim.metrics
         if not metrics.enabled:
             return
-        rid = self.sim.run_id
-        metrics.set_gauge("machine.elapsed_ms", elapsed, machine="direct", run=rid)
         metrics.set_gauge(
-            "machine.processor_utilization", utilization, machine="direct", run=rid
+            "machine.processor_utilization", utilization, machine="direct", run=self.sim.run_id
         )
-        for resource in [self.ports] + self.disks:
-            metrics.set_gauge(
-                "resource.utilization",
-                resource.utilization(elapsed),
-                resource=resource.name,
-                run=rid,
-            )
-            metrics.set_gauge(
-                "resource.peak_queue",
-                resource.stats.peak_queue,
-                resource=resource.name,
-                run=rid,
-            )
-        for level, nbytes in self.meter.snapshot().items():
-            metrics.set_gauge("traffic.bytes", nbytes, machine="direct", level=level, run=rid)
-        if not self.publish_per_query_metrics:
-            return
-        for run in self._runs:
-            if run.elapsed_ms is not None:
-                metrics.set_gauge(
-                    "query.elapsed_ms", run.elapsed_ms, query=run.tree.name, run=rid
-                )
-                metrics.set_gauge(
-                    "query.result_rows", run.result_rows, query=run.tree.name, run=rid
-                )
-
-    def _result_relation(self, run: QueryRun) -> Relation:
-        instr = run.root_instruction
-        rows = self._write_results.get(run.tree.name)
-        if rows is not None:
-            # Write queries report the target's whole new content (the
-            # convention shared with the ring machine and interpreter).
-            return Relation.from_rows(
-                f"{run.tree.name}.result",
-                instr.output_schema,
-                rows,
-                self.page_bytes,
-                validated=True,
-            )
-        out = Relation(
-            f"{run.tree.name}.result", instr.output_schema, page_bytes=self.page_bytes
-        )
-        for ref in instr.produced_pages:
-            out.append_page(ref.payload)
-        return out
+        self._publish_host_metrics("direct", elapsed)
 
     # ------------------------------------------------------------------ dispatch
 
@@ -1002,51 +809,32 @@ class DirectMachine:
         self._dispatch()
 
     def _finish_query(self, instr: Instruction) -> None:
-        for run in self._runs:
-            if run.root_instruction is instr:
-                run.completed_at = self.sim.now
-                run.result_rows = instr.assembler.rows_emitted
-                node = run.tree.root
-                if isinstance(node, (AppendNode, DeleteNode, UpdateNode)):
-                    produced = [
-                        row
-                        for ref in instr.produced_pages
-                        if ref.payload is not None
-                        for row in ref.payload.rows()
-                    ]
-                    txn = self._write_txns.pop(run.tree.name, None)
-                    _, rows = apply_write(
-                        self.catalog,
-                        node,
-                        produced,
-                        self.page_bytes,
-                        tm=self.txn if txn is not None else None,
-                        txn=txn,
-                    )
-                    self._write_results[run.tree.name] = rows
-                    self._base_pages.pop(node.target_relation, None)
-                    run.result_rows = len(rows)
-                if self.sim.tracer.enabled:
-                    self.sim.tracer.span(
-                        run.tree.name,
-                        "query",
-                        run.submitted_at,
-                        run.completed_at - run.submitted_at,
-                        "queries",
-                        args={"result_rows": run.result_rows},
-                    )
-                if self.sim.spans is not None:
-                    self.sim.spans.query_end(
-                        run.tree.name, self.sim.now, run.result_rows
-                    )
-                # The host drains the result; its pages leave the machine.
-                for ref in instr.produced_pages:
-                    self._drop_intermediate(ref)
-                if self.on_query_complete is not None:
-                    self.on_query_complete(
-                        run.tree.name, run.completed_at, run.result_rows
-                    )
-                return
+        name = instr.query.name
+        node = instr.query.root
+        if isinstance(node, (AppendNode, DeleteNode, UpdateNode)):
+            produced = [
+                row
+                for ref in instr.produced_pages
+                if ref.payload is not None
+                for row in ref.payload.rows()
+            ]
+            rows = self._commit_write(name, node, produced)
+            # Write queries report the target's whole new content (the
+            # convention shared with the ring machine and interpreter).
+            result = Relation.from_rows(
+                f"{name}.result", instr.output_schema, rows, self.page_bytes, validated=True
+            )
+            result_rows = len(rows)
+        else:
+            result = Relation(f"{name}.result", instr.output_schema, page_bytes=self.page_bytes)
+            for ref in instr.produced_pages:
+                result.append_page(ref.payload)
+            result_rows = instr.assembler.rows_emitted
+        self._results[name] = result
+        # The host drains the result; its pages leave the machine.
+        for ref in instr.produced_pages:
+            self._drop_intermediate(ref)
+        self._complete_query(name, result_rows)
 
     def _drop_intermediate(self, ref: PageRef) -> None:
         """An intermediate page will never be read again: free its slot

@@ -36,9 +36,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import FaultError
 from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, injecting
 from repro.query import execute
-from repro.direct.machine import DirectMachine
 from repro.experiments.common import ExperimentResult
-from repro.ring.machine import RingMachine
+from repro.host import build_machine
 from repro.sweep import map_points
 from repro.workload import benchmark_queries, generate_benchmark_database
 
@@ -51,6 +50,12 @@ STATEFUL_FAULTS: Tuple[str, ...] = ("machine_crash", "torn_page", "log_tail_corr
 MACHINE_FAULTS: Dict[str, Tuple[str, ...]] = {
     "ring": tuple(k for k in FAULT_KINDS if k not in STATEFUL_FAULTS),
     "direct": ("disk_read_error", "cache_poison"),
+}
+
+#: Extra constructor arguments per machine: the ring needs watchdogs
+#: and MC failover to survive IP kills and IC failures.
+_MACHINE_KWARGS: Dict[str, Dict[str, object]] = {
+    "ring": dict(controllers=16, fault_tolerant=True, watchdog_interval_ms=100.0),
 }
 
 #: Fault classes the write-transaction cells run under.  ``ip_kill``
@@ -80,6 +85,16 @@ def _spec_for(fault: str, rate: float) -> FaultSpec:
     return FaultSpec(kind=fault, rate=rate)
 
 
+def _build(machine: str, catalog, processors: int, page_bytes: int):
+    return build_machine(
+        machine,
+        catalog,
+        processors=processors,
+        page_bytes=page_bytes,
+        **_MACHINE_KWARGS.get(machine, {}),
+    )
+
+
 def run_faulted_benchmark(
     machine: str,
     plan: FaultPlan,
@@ -104,27 +119,12 @@ def run_faulted_benchmark(
         for t in benchmark_queries(db.catalog, db.relation_names, selectivity=selectivity)
     }
     trees = benchmark_queries(db.catalog, db.relation_names, selectivity=selectivity)
-    if machine == "ring":
-        with injecting(plan):
-            rig = RingMachine(
-                db.catalog,
-                processors=processors,
-                controllers=16,
-                page_bytes=page_bytes,
-                fault_tolerant=True,
-                watchdog_interval_ms=100.0,
-            )
-        for tree in trees:
-            rig.submit(tree)
-        report = rig.run()
-        sim = rig.sim
-    else:
-        with injecting(plan):
-            dm = DirectMachine(db.catalog, processors=processors, page_bytes=page_bytes)
-        for tree in trees:
-            dm.submit(tree)
-        report = dm.run()
-        sim = dm.sim
+    with injecting(plan):
+        rig = _build(machine, db.catalog, processors, page_bytes)
+    for tree in trees:
+        rig.submit(tree)
+    report = rig.run()
+    sim = rig.sim
     results = report.results
     elapsed = report.elapsed_ms
     events = report.events_processed
@@ -179,17 +179,7 @@ def run_faulted_write_benchmark(
     store = StableStore()
     tm = TransactionManager(store, page_bytes)
     with injecting(plan):
-        if machine == "ring":
-            rig = RingMachine(
-                db.catalog,
-                processors=processors,
-                controllers=16,
-                page_bytes=page_bytes,
-                fault_tolerant=True,
-                watchdog_interval_ms=100.0,
-            )
-        else:
-            rig = DirectMachine(db.catalog, processors=processors, page_bytes=page_bytes)
+        rig = _build(machine, db.catalog, processors, page_bytes)
     rig.attach_recovery(tm)
     elapsed = _run_workload(machine, rig, workload)
     report = recover(store)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.recovery.harness import MACHINES, run_crash_trial
+from repro.host import MACHINES
+from repro.recovery.harness import run_crash_trial
 from repro.sweep import map_points
 
 

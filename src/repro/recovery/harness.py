@@ -24,10 +24,11 @@ acknowledged commit appears in that list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.errors import CrashError, ReproError
+from repro.errors import CrashError
 from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.host import build_machine
 from repro.query.interpreter import execute
 from repro.query.tree import QueryTree
 from repro.recovery.apply import canonical_pages, write_target
@@ -38,8 +39,6 @@ from repro.workload.generator import generate_benchmark_database
 from repro.workload.updates import mixed_update_workload
 
 __all__ = ["CrashTrialResult", "run_crash_trial", "oracle_bytes"]
-
-MACHINES = ("ring", "direct", "dataflow")
 
 
 @dataclass
@@ -88,22 +87,6 @@ class CrashTrialResult:
             "damaged_repaired": self.damaged_repaired,
             "ok": self.ok,
         }
-
-
-def _build_machine(machine: str, catalog, page_bytes: int, processors: int):
-    if machine == "ring":
-        from repro.ring.machine import RingMachine
-
-        return RingMachine(catalog, processors=processors, page_bytes=page_bytes)
-    if machine == "direct":
-        from repro.direct.machine import DirectMachine
-
-        return DirectMachine(catalog, processors=processors, page_bytes=page_bytes)
-    if machine == "dataflow":
-        from repro.dataflow.machine import DataflowMachine
-
-        return DataflowMachine(catalog, processors=processors, page_bytes=page_bytes)
-    raise ReproError(f"unknown machine {machine!r}; pick one of {MACHINES}")
 
 
 def _run_workload(machine_name: str, machine, queries: List[QueryTree]) -> float:
@@ -210,7 +193,7 @@ def run_crash_trial(
         ),
     )
     with injecting(plan):
-        m = _build_machine(machine, db.catalog, page_bytes, processors)
+        m = build_machine(machine, db.catalog, processors=processors, page_bytes=page_bytes)
     m.attach_recovery(tm)
 
     crashed = False

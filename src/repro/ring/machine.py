@@ -19,17 +19,15 @@ Wire sizes follow the Figure 4.3-4.5 formats via the analytic helpers in
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import hw
-from repro.errors import CrashError, FaultError, MachineError
+from repro.errors import FaultError, MachineError
 from repro.direct.cache import DiskCache, PageRef
 from repro.direct.exec_model import ExecModel
 from repro.direct.traffic import TrafficMeter
-from repro.recovery.apply import apply_write
-from repro.recovery.txn import Transaction, TransactionManager
+from repro.host import MachineHost, QueryRun
 from repro.relational.catalog import Catalog
 from repro.relational.page import Page
 from repro.relational.relation import Relation
@@ -52,28 +50,10 @@ from repro.ring.packets import (
     result_packet_bytes,
 )
 from repro.ring.processor import InstructionProcessor
-from repro.sim.engine import Simulator
 from repro.sim.resources import Resource, checked_utilization
 
 #: Destination id of the master controller / host.
 MC_ID = 0
-
-
-@dataclass
-class RingQueryRun:
-    """Per-query record."""
-
-    tree: QueryTree
-    submitted_at: float
-    completed_at: Optional[float] = None
-    result_rows: int = 0
-
-    @property
-    def elapsed_ms(self) -> Optional[float]:
-        """Response time, None while running."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
 
 
 @dataclass
@@ -97,7 +77,7 @@ class RingReport:
     queries_admitted: int
 
 
-class RingMachine:
+class RingMachine(MachineHost):
     """The Section 4 data-flow database machine, ready to run query trees."""
 
     def __init__(
@@ -119,19 +99,15 @@ class RingMachine:
     ):
         if processors < 1 or controllers < 1:
             raise MachineError("need at least one IP and one IC")
-        self.catalog = catalog
-        self.page_bytes = page_bytes
-        self.model = model or ExecModel(page_bytes=page_bytes)
+        super().__init__(catalog, page_bytes, model, max_events)
         self.ic_memory_pages = ic_memory_pages
         self.max_ips_per_instruction = max_ips_per_instruction
         self.direct_ip_routing = direct_ip_routing
         self.fault_tolerant = fault_tolerant
         self.watchdog_interval_ms = watchdog_interval_ms
-        self.max_events = max_events
         self.total_ics = controllers
         self.failed_ips: List[int] = []
 
-        self.sim = Simulator()
         self.meter = TrafficMeter()
         self.outer_ring = Ring(self.sim, outer_ring, "outer-ring")
         self.inner_ring = Ring(self.sim, inner_ring, "inner-ring")
@@ -159,22 +135,10 @@ class RingMachine:
 
         self._free_ic_ids: List[int] = list(range(1, controllers + 1))
         self._ics: Dict[int, InstructionController] = {}
-        self._runs: List[RingQueryRun] = []
         self._query_rows: Dict[str, List[Row]] = {}
-        self._base_pages: Dict[str, List[PageRef]] = {}
         #: IC failovers taken so far, per query name (bounded by the
         #: plan's ``max_failovers``).
         self._failovers: Dict[str, int] = {}
-        #: Serving hook: called as ``(query_name, completed_at_ms,
-        #: result_rows)`` the moment a query's root finalizes —
-        #: :mod:`repro.serve` uses it to drive admission and latency capture.
-        self.on_query_complete: Optional[Callable[[str, float, int], None]] = None
-        #: Serving runs complete thousands of queries; per-query gauges
-        #: would bloat the metrics registry, so serve mode turns them off.
-        self.publish_per_query_metrics = True
-        #: Durable-transaction support (None = pre-WAL behavior, byte-identical).
-        self.txn: Optional[TransactionManager] = None
-        self._write_txns: Dict[str, Transaction] = {}
         #: Aborted attempts per write query (upgrade refusals), for the
         #: serve layer's abort/retry percentiles.
         self.write_aborts: Dict[str, int] = {}
@@ -182,36 +146,13 @@ class RingMachine:
         #: S-then-upgrade attempt was refused once).
         self._force_exclusive: Dict[str, None] = {}
 
-    def attach_recovery(self, tm: TransactionManager) -> None:
-        """Arm durable write transactions through ``tm``.
-
-        Seeds the stable store from the catalog's current images if the
-        caller has not already, and registers the WAL invariants with
-        this run's sanitizer.
-        """
-        if not tm.store.pages:
-            tm.seed_from_catalog(self.catalog)
-        self.txn = tm
-        tm.register_sanitizer(self.sim)
-
     # ------------------------------------------------------------------ host API
 
-    def submit(self, tree: QueryTree) -> RingQueryRun:
+    def _accept(self, tree: QueryTree) -> None:
         """Hand a query to the MC's queue (validated against the catalog)."""
         tree.validate(self.catalog)
-        run = RingQueryRun(tree=tree, submitted_at=self.sim.now)
-        self._runs.append(run)
-        if self.sim.tracer.enabled:
-            self.sim.tracer.instant(
-                f"submit.{tree.name}", "query", self.sim.now, "queries"
-            )
-        if self.sim.spans is not None:
-            # Idempotent: the serve layer opens the record at offer time,
-            # so an admitted-from-queue query keeps its earlier start.
-            self.sim.spans.query_begin(tree.name, self.sim.now)
         self.mc.enqueue(tree)
         self.sim.schedule(0.0, self.mc.try_admit, label="mc.admit")
-        return run
 
     def lock_request_for(self, tree: QueryTree) -> LockRequest:
         """The lock set the MC demands for ``tree`` at admission.
@@ -299,7 +240,7 @@ class RingMachine:
                 f"fault plan arms {sorted(set(needs_ft))} but the ring machine "
                 "was built with fault_tolerant=False"
             )
-        self._arm_machine_crash(inj)
+        self._arm_machine_crash()
         kill_spec = inj.armed_spec("ip_kill")
         if kill_spec is None:
             return
@@ -318,37 +259,6 @@ class RingMachine:
                     at_ms = inj.uniform("ip_kill", site, 0.0, kill_spec.window_ms)
                     self.schedule_ip_failure(ip.ip_id, at_ms)
                     planned[ip.ip_id] = None
-
-    def _arm_machine_crash(self, inj) -> None:
-        """Schedule a whole-machine power cut if the plan draws one.
-
-        The strike raises :class:`repro.errors.CrashError` straight out
-        of the event loop — volatile state is unwound with the Python
-        stack, and the crash harness picks recovery up from the stable
-        store.  Requires an attached transaction manager: without
-        durable state there is nothing for a crash to be *survived by*.
-        """
-        spec = inj.armed_spec("machine_crash")
-        if spec is None or spec.rate <= 0:
-            return
-        if self.txn is None:
-            raise FaultError(
-                "fault plan arms machine_crash but no transaction manager "
-                "is attached (attach_recovery); a crash without durable "
-                "state cannot be recovered"
-            )
-        if not inj.decide("machine_crash", "machine", spec.rate):
-            return
-        at_ms = spec.at_ms + inj.uniform("machine_crash", "machine", 0.0, spec.window_ms)
-
-        def crash_now() -> None:
-            inj.count("machine.crash", "machine")
-            raise CrashError(
-                f"machine crash fault at t={self.sim.now:.3f}ms "
-                f"({len(self.txn.active)} transaction(s) in flight)"
-            )
-
-        self.sim.schedule_at(at_ms, crash_now, label="fault.machine_crash")
 
     def _maybe_arm_ic_failure(self, tree: QueryTree, first_ic: InstructionController) -> None:
         """Draw (per activation) whether this query attempt loses an IC."""
@@ -412,12 +322,6 @@ class RingMachine:
             if not ip.failed:
                 self.mc.add_free_ip(ip)
 
-    def run(self) -> RingReport:
-        """Execute all submitted queries to completion."""
-        if not self._runs:
-            raise MachineError("no queries submitted")
-        return self.run_service()
-
     def run_service(self) -> RingReport:
         """Drive the machine until the event heap drains, then report.
 
@@ -428,17 +332,7 @@ class RingMachine:
         admission queue before the horizon closes).
         """
         self._arm_faults()
-        self.sim.run(max_events=self.max_events)
-        unfinished = [r.tree.name for r in self._runs if r.completed_at is None]
-        if unfinished:
-            raise MachineError(f"ring machine drained with unfinished queries: {unfinished}")
-        if self.txn is not None:
-            # Clean shutdown: force the log, flush every dirty page, and
-            # checkpoint — the sanitizer's dirty-page leak check runs next.
-            self.txn.shutdown()
-        self.sim.finalize_sanitizer()
-        self.sim.finalize_faults()
-        elapsed = self.sim.now
+        elapsed = self._drain()
         busy = sum(ip.busy_ms for ip in self.ips)
         util = checked_utilization(self.sim, busy, elapsed, len(self.ips), "ring.ips")
         self._publish_metrics(elapsed, util)
@@ -446,8 +340,8 @@ class RingMachine:
             processors=len(self.ips),
             controllers=self.total_ics,
             elapsed_ms=elapsed,
-            query_times={r.tree.name: r.elapsed_ms for r in self._runs},
-            results={r.tree.name: self._result_relation(r) for r in self._runs},
+            query_times=self._query_times(),
+            results={name: self._result_relation(r) for name, r in self._runs.items()},
             outer_ring_bytes=self.outer_ring.bytes_carried,
             inner_ring_bytes=self.inner_ring.bytes_carried,
             outer_ring_mbps=self.outer_ring.offered_mbps(elapsed),
@@ -477,35 +371,10 @@ class RingMachine:
             metrics.set_gauge(
                 "ring.mean_queue_wait_ms", ring.mean_queue_wait_ms, ring=ring.name, run=rid
             )
-        metrics.set_gauge("machine.elapsed_ms", elapsed, machine="ring", run=rid)
         metrics.set_gauge("machine.ip_utilization", ip_utilization, machine="ring", run=rid)
-        for resource in [self.ports] + self.disks:
-            metrics.set_gauge(
-                "resource.utilization",
-                resource.utilization(elapsed),
-                resource=resource.name,
-                run=rid,
-            )
-            metrics.set_gauge(
-                "resource.peak_queue",
-                resource.stats.peak_queue,
-                resource=resource.name,
-                run=rid,
-            )
-        for level, nbytes in self.meter.snapshot().items():
-            metrics.set_gauge("traffic.bytes", nbytes, machine="ring", level=level, run=rid)
-        if not self.publish_per_query_metrics:
-            return
-        for run in self._runs:
-            if run.elapsed_ms is not None:
-                metrics.set_gauge(
-                    "query.elapsed_ms", run.elapsed_ms, query=run.tree.name, run=rid
-                )
-                metrics.set_gauge(
-                    "query.result_rows", run.result_rows, query=run.tree.name, run=rid
-                )
+        self._publish_host_metrics("ring", elapsed)
 
-    def _result_relation(self, run: RingQueryRun) -> Relation:
+    def _result_relation(self, run: QueryRun) -> Relation:
         root = run.tree.root
         schema = root.output_schema(self.catalog)
         out = Relation(f"{run.tree.name}.result", schema, page_bytes=self.page_bytes)
@@ -530,18 +399,7 @@ class RingMachine:
 
     def activate_query(self, tree: QueryTree) -> None:
         """MC admission: build one IC per operator node and seed leaves."""
-        root = tree.root
-        if (
-            self.txn is not None
-            and isinstance(root, (AppendNode, DeleteNode, UpdateNode))
-            and tree.name not in self._write_txns
-        ):
-            self._write_txns[tree.name] = self.txn.begin(
-                tree.name,
-                root.target_relation,
-                root.output_schema(self.catalog),
-                append=isinstance(root, AppendNode),
-            )
+        self._begin_write(tree)
         by_node: Dict[int, InstructionController] = {}
         for node in tree.nodes():
             if isinstance(node, ScanNode):
@@ -563,7 +421,7 @@ class RingMachine:
                     self.sim.schedule(
                         0.0,
                         lambda i=ic, x=idx, n=child.relation_name: i.seed_base_operand(
-                            x, self._base_page_refs(n)
+                            x, self._base_pages_of(n)
                         ),
                         label=f"seed.{ic.ic_id}",
                     )
@@ -575,7 +433,7 @@ class RingMachine:
                 self.sim.schedule(
                     0.0,
                     lambda i=ic, n=ic.node.target_relation: i.seed_base_operand(
-                        0, self._base_page_refs(n)
+                        0, self._base_pages_of(n)
                     ),
                     label=f"seed.{ic.ic_id}",
                 )
@@ -613,26 +471,6 @@ class RingMachine:
             else:
                 specs.append((f"node{child.node_id}", schema, False))
         return specs
-
-    def _base_page_refs(self, relation_name: str) -> List[PageRef]:
-        if relation_name not in self._base_pages:
-            relation = self.catalog.get(relation_name)
-            # Shared read-only images, memoized on the relation: machines
-            # built over the same catalog repack nothing.
-            pages = relation.packed_pages(self.page_bytes)
-            salt = zlib.crc32(relation_name.encode("utf-8"))
-            self._base_pages[relation_name] = [
-                PageRef(
-                    key=f"base:{relation_name}:{i}",
-                    nbytes=self.page_bytes,
-                    payload=page,
-                    on_disk=True,
-                    disk_id=(salt + i) % max(1, len(self.disks)),
-                    row_count=page.row_count,
-                )
-                for i, page in enumerate(pages)
-            ]
-        return self._base_pages[relation_name]
 
     # ------------------------------------------------------------------ inner-ring control (MC <-> IC)
 
@@ -943,59 +781,26 @@ class RingMachine:
         if root_ic.dead:
             return  # a failover superseded this completion notice
         tree = root_ic.tree
-        rows = self._query_rows.get(tree.name, [])
         node = tree.root
-        txn = self._write_txns.get(tree.name)
-        if txn is not None:
+        if isinstance(node, (AppendNode, DeleteNode, UpdateNode)):
+            txn = self._write_txns.get(tree.name)
             if (
-                isinstance(node, (DeleteNode, UpdateNode))
+                txn is not None
+                and isinstance(node, (DeleteNode, UpdateNode))
                 and tree.name not in self._force_exclusive
                 and not self.mc.locks.try_upgrade(tree.name, node.target_relation)
             ):
                 self._abort_write_attempt(tree)
                 return
-            del self._write_txns[tree.name]
             self._force_exclusive.pop(tree.name, None)
-            _, all_rows = apply_write(
-                self.catalog, node, rows, self.page_bytes, tm=self.txn, txn=txn
+            self._query_rows[tree.name] = self._commit_write(
+                tree.name, node, self._query_rows.get(tree.name, [])
             )
-            self._query_rows[tree.name] = all_rows
-            self._base_pages.pop(node.target_relation, None)
-        elif isinstance(node, (DeleteNode, UpdateNode)):
-            updated = Relation(node.target_relation, root_ic.result_schema, page_bytes=4096)
-            updated.insert_many(rows)
-            self.catalog.replace(updated)
-            # Later queries must re-page the relation from the new state.
-            self._base_pages.pop(node.target_relation, None)
-        elif isinstance(node, AppendNode):
-            target = self.catalog.get(node.target_relation)
-            updated = Relation(
-                node.target_relation, target.schema, page_bytes=target.page_bytes
-            )
-            updated.insert_many(target.rows())
-            updated.insert_many(rows)
-            self.catalog.replace(updated)
-            self._query_rows[tree.name] = list(updated.rows())
-            self._base_pages.pop(node.target_relation, None)
-        for run in self._runs:
-            if run.tree is tree and run.completed_at is None:
-                run.completed_at = self.sim.now
-                run.result_rows = len(rows)
-                if self.sim.tracer.enabled:
-                    self.sim.tracer.span(
-                        tree.name,
-                        "query",
-                        run.submitted_at,
-                        run.completed_at - run.submitted_at,
-                        "queries",
-                        args={"result_rows": run.result_rows},
-                    )
-                break
-        if self.sim.spans is not None:
-            self.sim.spans.query_end(tree.name, self.sim.now, len(rows))
+        self._complete_query(tree.name, len(self._query_rows.get(tree.name, ())))
+
+    def _retire(self, tree: QueryTree) -> None:
+        """The root finalized: the MC releases the query's locks."""
         self.mc.query_finished(tree)
-        if self.on_query_complete is not None:
-            self.on_query_complete(tree.name, self.sim.now, len(rows))
 
 
 def run_ring_benchmark(

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import MachineError, WorkloadError
+from repro.host import MACHINES, build_machine
 from repro.serve.admission import ADMIT, QUEUE, AdmissionQueue
 from repro.serve.arrivals import make_arrivals
 from repro.serve.sessions import DEFAULT_MIX, SessionWorkload
@@ -30,7 +31,6 @@ from repro.workload.generator import generate_benchmark_database
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.sim.engine import Simulator
 
-MACHINES = ("ring", "direct", "dataflow")
 LOOPS = ("open", "closed")
 
 
@@ -88,39 +88,6 @@ class ServeConfig:
             )
 
 
-def _build_machine(config: ServeConfig, catalog: Any) -> Any:
-    if config.machine == "ring":
-        from repro.ring.machine import RingMachine
-
-        machine = RingMachine(
-            catalog,
-            processors=config.processors,
-            page_bytes=config.page_bytes,
-            max_events=config.max_events,
-        )
-        machine.publish_per_query_metrics = False
-        return machine
-    if config.machine == "direct":
-        from repro.direct.machine import DirectMachine
-
-        machine = DirectMachine(
-            catalog,
-            processors=config.processors,
-            page_bytes=config.page_bytes,
-            max_events=config.max_events,
-        )
-        machine.publish_per_query_metrics = False
-        return machine
-    from repro.dataflow.machine import DataflowMachine
-
-    return DataflowMachine(
-        catalog,
-        processors=config.processors,
-        page_bytes=config.page_bytes,
-        max_events=config.max_events,
-    )
-
-
 def _machine_utilization(report: object) -> Optional[float]:
     for field in ("ip_utilization", "processor_utilization"):
         value = getattr(report, field, None)
@@ -138,7 +105,14 @@ def serve(config: ServeConfig) -> Dict[str, object]:
         page_bytes=config.page_bytes,
         b_domain=config.b_domain,
     )
-    machine = _build_machine(config, db.catalog)
+    machine = build_machine(
+        config.machine,
+        db.catalog,
+        processors=config.processors,
+        page_bytes=config.page_bytes,
+        max_events=config.max_events,
+    )
+    machine.publish_per_query_metrics = False
     sim = machine.sim
     streams = RandomStreams(config.seed)
     workload_rng = streams.stream("serve.workload")
