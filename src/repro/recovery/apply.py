@@ -8,8 +8,8 @@ oracle, so every commit installs the **canonical form** of the new
 relation: rows sorted, then densely packed.  Mid-transaction staged
 pages keep their arrival order — those are genuine partial writes the
 undo phase must erase — but the images logged at commit, the catalog
-relation the next query reads, and the oracle's replayed state all pass
-through :func:`canonical_pages` and therefore agree byte-for-byte.
+relation the next query reads, and the oracle's replayed state all
+come from :func:`canonical_relation` and therefore agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.query.tree import AppendNode, DeleteNode, QueryNode, UpdateNode
 from repro.relational.catalog import Catalog
-from repro.relational.page import pack_rows_into_pages
 from repro.relational.relation import Relation
 from repro.relational.schema import Row, Schema
 
@@ -33,21 +32,29 @@ __all__ = [
 ]
 
 
-def canonical_pages(
-    schema: Schema, rows: Sequence[Row], page_bytes: int
-) -> List[bytes]:
-    """Sorted, densely packed page images — the committed on-disk form."""
-    pages = pack_rows_into_pages(schema, sorted(rows), page_bytes, validated=True)
-    return [page.to_bytes() for page in pages]
-
-
 def canonical_relation(
     name: str, schema: Schema, rows: Sequence[Row], page_bytes: int
 ) -> Relation:
-    """The canonical :class:`Relation` for the same committed state."""
+    """The committed form of a relation: rows sorted, then densely packed."""
     return Relation.from_rows(
         name, schema, sorted(rows), page_bytes, validated=True
     )
+
+
+def _page_images(relation: Relation) -> List[bytes]:
+    """The on-disk image of every page of ``relation``, in page order."""
+    return [page.to_bytes() for page in relation.pages]
+
+
+def canonical_pages(
+    schema: Schema, rows: Sequence[Row], page_bytes: int
+) -> List[bytes]:
+    """Sorted, densely packed page images — the committed on-disk form.
+
+    These are the images of :func:`canonical_relation`'s pages, the same
+    packing a commit logs and installs, so the oracle cannot drift from it.
+    """
+    return _page_images(canonical_relation("canonical", schema, rows, page_bytes))
 
 
 def write_target(root: QueryNode) -> Optional[str]:
@@ -97,9 +104,10 @@ def apply_write(
     if tm is not None:
         if txn is None:
             raise ValueError("apply_write: tm armed but no transaction handle")
-        images = canonical_pages(schema, rows, page_bytes)
-        tm.commit(txn, images)
+        # One sort and one packing: the logged images are the installed
+        # relation's own pages.
         relation = canonical_relation(target, schema, rows, page_bytes)
+        tm.commit(txn, _page_images(relation))
     else:
         relation = Relation.from_rows(
             target, schema, rows, page_bytes, validated=True

@@ -138,13 +138,15 @@ class Page:
         return taken
 
     def extend_unchecked(self, rows: Sequence[Row]) -> None:
-        """Bulk-append rows that are already valid tuples of this schema.
+        """Bulk-append rows without checking them on entry.
 
-        The machines' result shipping moves rows that came off existing
-        pages or out of the page kernels — valid by construction — so
-        re-running :meth:`Schema.validate_row` per row is pure overhead.
-        Overflow is still checked; callers sizing by :attr:`capacity` can
-        never trip it.
+        For rows the caller knows are valid tuples of this schema: the
+        machines' result shipping moves rows that came off existing pages
+        or out of the page kernels, and :meth:`Relation.insert_many` checks
+        its whole batch first.  The rows are not trusted for good:
+        :meth:`to_bytes` checks every row again before it becomes bytes in
+        a packet or the WAL.  Overflow is still checked; callers sizing by
+        :attr:`capacity` can never trip it.
         """
         if self.row_count + len(rows) > self._capacity:
             raise PageError(
@@ -184,7 +186,13 @@ class Page:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize to exactly :attr:`page_bytes` bytes (zero-padded)."""
+        """Serialize to exactly :attr:`page_bytes` bytes (zero-padded).
+
+        Every row is checked against the schema on the way (see
+        :meth:`Schema.pack_many`); for pages filled by
+        :meth:`extend_unchecked` this is the only type check before the
+        bytes reach a packet or the WAL.
+        """
         body = self.schema.pack_many(self._rows)
         header = _HEADER.pack(self.row_count, self.schema.record_width)
         payload = header + body
@@ -237,26 +245,37 @@ def pack_rows_into_pages(
     partial pages (Section 4.2: "as pages (which may not be full) arrive,
     they are compressed to form full pages").
 
-    ``validated=True`` asserts every row is already a valid tuple of
-    ``schema`` (e.g. rows read back off existing pages) and packs by
-    capacity-sized slices instead of per-row checked appends; the page
-    boundaries are identical either way.
+    The rows are checked as one batch (:meth:`Schema.validate_rows`) unless
+    ``validated=True`` says they are already valid tuples of ``schema``
+    (e.g. rows read back off existing pages); either way
+    :meth:`Page.to_bytes` checks them again before they become bytes, and
+    the page boundaries are the same.
     """
-    pages: List[Page] = []
     if validated:
         row_list = rows if isinstance(rows, list) else list(rows)
-        capacity = page_capacity(schema, page_bytes)
-        for start in range(0, len(row_list), capacity):
-            page = Page(schema, page_bytes)
-            page.extend_unchecked(row_list[start : start + capacity])
-            pages.append(page)
-        return pages
-    current = Page(schema, page_bytes)
-    for row in rows:
-        if not current.try_append(row):
-            pages.append(current)
-            current = Page(schema, page_bytes)
-            current.append(row)
-    if not current.is_empty:
-        pages.append(current)
+    else:
+        row_list = list(map(tuple, rows))
+        schema.validate_rows(row_list)
+    pages: List[Page] = []
+    fill_pages(pages, schema, row_list, page_bytes)
     return pages
+
+
+def fill_pages(
+    pages: List[Page], schema: Schema, rows: Sequence[Row], page_bytes: int
+) -> None:
+    """Append checked ``rows`` to the page list ``pages``, densely.
+
+    The last page is topped up first; the rest go onto new pages of
+    ``page_bytes`` in capacity-sized slices, so the page boundaries are
+    those of appending the rows one by one.
+    """
+    start = 0
+    if rows and pages and not pages[-1].is_full:
+        start = pages[-1].free_slots
+        pages[-1].extend_unchecked(rows[:start])
+    while start < len(rows):
+        page = Page(schema, page_bytes)
+        page.extend_unchecked(rows[start : start + page.capacity])
+        pages.append(page)
+        start += page.capacity

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import PageError
-from repro.relational.page import DEFAULT_PAGE_BYTES, Page, pack_rows_into_pages
+from repro.relational.page import (
+    DEFAULT_PAGE_BYTES,
+    Page,
+    fill_pages,
+    pack_rows_into_pages,
+)
 from repro.relational.schema import Row, Schema
 
 _relation_ids = itertools.count(1)
@@ -63,7 +68,7 @@ class Relation:
         """Build a relation by packing ``rows`` densely into pages.
 
         ``validated=True`` asserts the rows are already valid tuples of
-        ``schema`` and skips the per-row type checks (see
+        ``schema`` and skips the check on entry (see
         :func:`pack_rows_into_pages`); page boundaries are identical.
         """
         return cls(
@@ -151,12 +156,18 @@ class Relation:
         self._pages[-1].append(row)
 
     def insert_many(self, rows: Iterable[Row]) -> int:
-        """Append many rows; returns how many were inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Append many rows; returns how many were inserted.
+
+        The whole batch is checked before any row is stored, so a bad row
+        anywhere leaves the relation unchanged.  The page boundaries are
+        those of calling :meth:`insert` once per row.
+        """
+        batch = list(map(tuple, rows))
+        self.schema.validate_rows(batch)
+        if batch and self._packed_cache:
+            self._packed_cache = {}
+        fill_pages(self._pages, self.schema, batch, self.page_bytes)
+        return len(batch)
 
     def compact(self) -> None:
         """Repack all rows densely (drops partially-filled interior pages)."""

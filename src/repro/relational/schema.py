@@ -13,7 +13,8 @@ import enum
 import functools
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, starmap
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError
 
@@ -45,6 +46,10 @@ class DataType(enum.Enum):
         if self is DataType.CHAR:
             return declared_width
         return 8
+
+
+#: The exact Python type of a value on the fast path, per data type.
+_EXACT_TYPE = {DataType.INT: int, DataType.FLOAT: float, DataType.CHAR: str}
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,14 @@ class Schema:
         object.__setattr__(self, "_index", {a.name: i for i, a in enumerate(self.attributes)})
         fmt = "<" + "".join(a.dtype.struct_code(a.width) for a in self.attributes)
         object.__setattr__(self, "_struct", struct.Struct(fmt))
+        # The compiled row checks (see "row packing" below).
+        object.__setattr__(self, "_types", tuple(_EXACT_TYPE[a.dtype] for a in self.attributes))
+        object.__setattr__(self, "_char_slots", tuple(
+            (i, a.width) for i, a in enumerate(self.attributes) if a.dtype is DataType.CHAR
+        ))
+        object.__setattr__(self, "_float_slots", tuple(
+            i for i, a in enumerate(self.attributes) if a.dtype is DataType.FLOAT
+        ))
 
     # -- construction -------------------------------------------------------
 
@@ -187,9 +200,38 @@ class Schema:
         return _concat_unique(self, other)
 
     # -- row packing --------------------------------------------------------
+    #
+    # The row format is fixed per schema, so the per-value work is compiled
+    # once in ``__post_init__``: a row whose values have exactly the
+    # compiled types (``_types``) and whose CHAR values fit their slots
+    # (``_char_slots``) is accepted without consulting the attributes.  Any
+    # other row (a bool, an int in a FLOAT slot, a subclass, the wrong
+    # arity, an overflowing CHAR value) falls back to :meth:`_check_row`,
+    # which decides it and words the error, so both paths accept the same
+    # rows.
 
     def validate_row(self, row: Row) -> None:
         """Raise :class:`SchemaError` unless ``row`` matches this schema."""
+        if tuple(map(type, row)) == self._types:
+            for i, width in self._char_slots:
+                value = row[i]
+                if (
+                    len(value) > width
+                    or value[-1:] == "\x00"
+                    or (not value.isascii() and len(value.encode()) > width)
+                ):
+                    break
+            else:
+                return
+        self._check_row(row)
+
+    def validate_rows(self, rows: Iterable[Row]) -> None:
+        """:meth:`validate_row` for every row of a batch."""
+        for row in rows:
+            self.validate_row(row)
+
+    def _check_row(self, row: Row) -> None:
+        """The generic per-value check; words every :class:`SchemaError`."""
         if len(row) != self.arity:
             raise SchemaError(
                 f"row arity {len(row)} != schema arity {self.arity} ({self.names})"
@@ -208,19 +250,53 @@ class Schema:
                     raise SchemaError(
                         f"value {value!r} overflows CHAR({attr_.width}) attribute {attr_.name!r}"
                     )
+                if value.endswith("\x00"):
+                    # The NUL padding is stripped on read, so the value
+                    # would come back shorter than it went in.
+                    raise SchemaError(
+                        f"value {value!r} of CHAR attribute {attr_.name!r} ends in NUL"
+                    )
+
+    def _fast_values(self, rows: Sequence[Row]) -> Optional[list]:
+        """Every value of ``rows`` in row-major order if the whole batch takes
+        the fast path, else None (the batch goes row by row).
+
+        :meth:`pack_many` runs the fast-path checks per column, over all
+        rows at once.  A CHAR column holding a NUL or a non-ASCII value
+        anywhere sends the batch row by row, where only a trailing NUL is
+        rejected and the UTF-8 length is measured.
+        """
+        arity = len(self._types)
+        if set(map(len, rows)) != {arity}:
+            return None
+        values = list(chain.from_iterable(rows))
+        if list(map(type, values)) != list(self._types) * len(rows):
+            return None
+        for i, width in self._char_slots:
+            column = values[i::arity]
+            joined = "".join(column)
+            if not joined.isascii() or "\x00" in joined or max(map(len, column)) > width:
+                return None
+        return values
 
     def pack(self, row: Row) -> bytes:
         """Pack ``row`` into its fixed-width byte record."""
-        self.validate_row(row)
-        encoded = []
-        for value, attr_ in zip(row, self.attributes):
-            if attr_.dtype is DataType.CHAR:
-                encoded.append(value.encode("utf-8"))
-            elif attr_.dtype is DataType.FLOAT:
-                encoded.append(float(value))
+        if tuple(map(type, row)) == self._types:
+            values = list(row)
+            for i, width in self._char_slots:
+                data = values[i].encode()
+                if len(data) > width or data[-1:] == b"\x00":
+                    break
+                values[i] = data
             else:
-                encoded.append(value)
-        return self._struct.pack(*encoded)
+                return self._struct.pack(*values)
+        self._check_row(row)
+        values = list(row)
+        for i in self._float_slots:
+            values[i] = float(values[i])
+        for i, _ in self._char_slots:
+            values[i] = values[i].encode("utf-8")
+        return self._struct.pack(*values)
 
     def unpack(self, record: bytes) -> Row:
         """Unpack one byte record back into a row tuple."""
@@ -238,7 +314,14 @@ class Schema:
 
     def pack_many(self, rows: Iterable[Row]) -> bytes:
         """Pack a run of rows into contiguous records."""
-        return b"".join(self.pack(r) for r in rows)
+        rows = rows if isinstance(rows, list) else list(rows)
+        values = self._fast_values(rows)
+        if values is None:
+            return b"".join(map(self.pack, rows))
+        arity = len(self._types)
+        for i, _ in self._char_slots:
+            values[i::arity] = list(map(str.encode, values[i::arity]))
+        return b"".join(starmap(self._struct.pack, zip(*[iter(values)] * arity)))
 
     def unpack_many(self, data: bytes) -> list[Row]:
         """Unpack contiguous records produced by :meth:`pack_many`."""

@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.errors import SchemaError
 from repro.relational import operators
 from repro.relational.page import Page, pack_rows_into_pages
 from repro.relational.predicate import attr
@@ -42,6 +43,30 @@ class TestRowPacking:
     @given(rows=pair_rows)
     def test_pack_many_roundtrip(self, rows):
         assert PAIR.unpack_many(PAIR.pack_many(rows)) == rows
+
+    @settings(max_examples=300)
+    @given(
+        key=st.integers(-(2**63), 2**63 - 1),
+        text=st.text(
+            st.one_of(st.sampled_from("a\x00é€\U0001d11e"), st.characters()),
+            max_size=12,
+        ),
+    )
+    def test_every_accepted_row_roundtrips(self, key, text):
+        # Arbitrary text around the CHAR(10) boundary, NUL and non-ASCII
+        # included: a row is accepted exactly when its UTF-8 form fits
+        # and does not end in NUL, and every accepted row decodes back
+        # to itself.
+        row = (key, text)
+        fits = len(text.encode("utf-8")) <= 10 and not text.endswith("\x00")
+        try:
+            record = TEXT.pack(row)
+        except SchemaError:
+            assert not fits
+            return
+        assert fits
+        assert TEXT.unpack(record) == row
+        assert TEXT.unpack_many(TEXT.pack_many([row, row])) == [row, row]
 
 
 class TestPageInvariants:
