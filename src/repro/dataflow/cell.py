@@ -312,26 +312,27 @@ def _make_kernel(
         return update_kernel
 
     if isinstance(node, JoinNode):
-        from repro.direct.exec_model import join_pages
+        from repro.direct.exec_model import equijoin_probe, join_pages, probe_join
 
-        outer_index = operand_schemas[0].index_of(node.condition.outer_attr)
-        inner_index = operand_schemas[1].index_of(node.condition.inner_attr)
+        condition = node.condition
+        outer_index = operand_schemas[0].index_of(condition.outer_attr)
+        inner_index = operand_schemas[1].index_of(condition.inner_attr)
 
         def join_kernel(unit: FiringUnit) -> List[Row]:
-            outer_pages = [p for s, p in unit.pages if s == 0]
-            inner_pages = [p for s, p in unit.pages if s == 1]
+            outer_pages = [unit.cell.operands[0].pages[p] for s, p in unit.pages if s == 0]
+            inner_pages = [unit.cell.operands[1].pages[p] for s, p in unit.pages if s == 1]
             out: List[Row] = []
-            for o in outer_pages:
-                for i in inner_pages:
-                    out.extend(
-                        join_pages(
-                            unit.cell.operands[0].pages[o],
-                            unit.cell.operands[1].pages[i],
-                            node.condition,
-                            outer_index,
-                            inner_index,
-                        )
-                    )
+            if condition.is_equijoin:
+                # Each inner page meets every outer page of the firing:
+                # probe it once.
+                probes = [equijoin_probe(page, inner_index) for page in inner_pages]
+                for outer in outer_pages:
+                    for probe in probes:
+                        out.extend(probe_join(outer, probe, outer_index))
+                return out
+            for outer in outer_pages:
+                for inner in inner_pages:
+                    out.extend(join_pages(outer, inner, condition, outer_index, inner_index))
             return out
 
         return join_kernel

@@ -24,11 +24,12 @@ is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import MachineError, RetryExhaustedError
 from repro.faults.plan import FaultSpec
@@ -124,6 +125,13 @@ class DiskCache:
         self.disks = disks
         self._frames: Dict[str, _Frame] = {}
         self._use_clock = itertools.count()
+        #: Victim order: a lazy min-heap of ``(protected, last_use, key)``
+        #: over the evictable (unpinned) frames.  An entry is live while its
+        #: frame is resident, unpinned and still has that rank; anything
+        #: else is stale and popped when it reaches the top.  ``last_use``
+        #: values are unique, so ranks never tie.  Built at the first
+        #: eviction: a cache that never fills never ranks its frames.
+        self._victims: Optional[List[Tuple[bool, int, str]]] = None
         self._alloc_waiters: Deque[Callable[[], None]] = deque()
         self._inflight_reads: Dict[str, _SharedRead] = {}
         #: Pages counted resident including frames mid-fill.
@@ -222,34 +230,34 @@ class DiskCache:
             self._unpin(ref.key)
             done()
 
-        existing = self._frames.get(ref.key)
-        if existing is not None:
-            existing.ref = ref
-            existing.dirty = dirty
-            existing.pins += 1
-            existing.last_use = next(self._use_clock)
+        def install(reserved: bool) -> None:
+            existing = self._frames.get(ref.key)
+            if existing is None:
+                self._frames[ref.key] = _Frame(
+                    ref=ref, dirty=dirty, pins=1, last_use=next(self._use_clock)
+                )
+            else:
+                existing.ref = ref
+                existing.dirty = dirty
+                self._pin(ref.key)
+                if reserved:
+                    # A disk fill installed this key while the allocation
+                    # waited: hand the duplicate reservation back.
+                    self._unreserve_slot()
             self.ports.submit(self.model.cache_port_ms(ref.nbytes), delivered, nbytes=ref.nbytes)
-            return
 
-        def with_frame() -> None:
-            self._frames[ref.key] = _Frame(
-                ref=ref, dirty=dirty, pins=1, last_use=next(self._use_clock)
-            )
-            self.ports.submit(self.model.cache_port_ms(ref.nbytes), delivered, nbytes=ref.nbytes)
-
-        self._allocate(with_frame)
+        if ref.key in self._frames:
+            install(reserved=False)
+        else:
+            self._allocate(lambda: install(reserved=True))
 
     def protect(self, ref: PageRef) -> None:
         """Soft-pin ``ref``'s frame while its instruction is active."""
-        frame = self._frames.get(ref.key)
-        if frame is not None:
-            frame.protected = True
+        self._set_protected(ref.key, True)
 
     def unprotect(self, ref: PageRef) -> None:
         """Release the soft pin on ``ref``."""
-        frame = self._frames.get(ref.key)
-        if frame is not None:
-            frame.protected = False
+        self._set_protected(ref.key, False)
 
     def discard(self, ref: PageRef) -> None:
         """Drop ``ref`` from the hierarchy (its consumers are all done).
@@ -269,9 +277,16 @@ class DiskCache:
     def _sanitize_finish(self) -> List[str]:
         """End-of-run frame-accounting invariants for the sanitizer."""
         violations: List[str] = []
+        ranked = (
+            None
+            if self._victims is None
+            else {entry[2] for entry in self._victims if self._is_live(entry)}
+        )
         for key, frame in sorted(self._frames.items()):
             if frame.pins > 0:
                 violations.append(f"frame {key!r} leaked {frame.pins} pin(s)")
+            elif ranked is not None and key not in ranked:
+                violations.append(f"evictable frame {key!r} is missing from the victim order")
         if self._reserved != len(self._frames):
             violations.append(
                 f"reservation imbalance: {self._reserved} reserved slots for "
@@ -302,17 +317,70 @@ class DiskCache:
             self._reserve_slot()
             waiter()
 
-    def _pin(self, key: str) -> None:
+    def _pin(self, key: str, use: bool = True) -> None:
+        """One more holder of the frame; a pinned frame is never a victim.
+
+        ``use`` refreshes the frame's LRU rank.
+        """
         frame = self._frames[key]
         frame.pins += 1
-        frame.last_use = next(self._use_clock)
+        if use:
+            frame.last_use = next(self._use_clock)
+
+    def _drop_pin(self, key: str, frame: _Frame) -> bool:
+        """Release one pin; True when the frame just became evictable.
+
+        Every pin release goes through here, so every frame that reaches
+        zero pins enters the victim order.
+        """
+        frame.pins -= 1
+        if frame.pins > 0:
+            return False
+        self._rank(key, frame)
+        return True
+
+    def _rank(self, key: str, frame: _Frame) -> None:
+        """Enter an unpinned frame into the victim order at its rank."""
+        victims = self._victims
+        if victims is None:
+            return
+        heapq.heappush(victims, (frame.protected, frame.last_use, key))
+        if len(victims) > 4 * self.capacity_frames:
+            # Too many stale entries.  The ranks are exact, so a rebuild
+            # does not change the victim sequence.
+            self._rebuild_victims()
+
+    def _rebuild_victims(self) -> List[Tuple[bool, int, str]]:
+        """The victim order from scratch: one entry per unpinned frame."""
+        victims = [(f.protected, f.last_use, k) for k, f in self._frames.items() if f.pins == 0]
+        heapq.heapify(victims)
+        self._victims = victims
+        return victims
+
+    def _is_live(self, entry: Tuple[bool, int, str]) -> bool:
+        """True when a victim-order entry still ranks its frame."""
+        protected, last_use, key = entry
+        frame = self._frames.get(key)
+        return (
+            frame is not None
+            and frame.pins == 0
+            and frame.last_use == last_use
+            and frame.protected == protected
+        )
+
+    def _set_protected(self, key: str, protected: bool) -> None:
+        frame = self._frames.get(key)
+        if frame is None or frame.protected == protected:
+            return
+        frame.protected = protected
+        if frame.pins == 0:
+            self._rank(key, frame)  # its old entry is stale now
 
     def _unpin(self, key: str) -> None:
         frame = self._frames.get(key)
         if frame is None:
             return
-        frame.pins -= 1
-        if frame.pins <= 0:
+        if self._drop_pin(key, frame):
             if frame.doomed:
                 self._release(key)
             else:
@@ -350,7 +418,9 @@ class DiskCache:
         """
         frame = self._frames[victim]
         if frame.dirty:
-            frame.pins += 1  # protect the victim during the write-back
+            # Hold the victim during the write-back.  Not a use: its LRU
+            # rank stays as it was if the eviction aborts.
+            self._pin(victim, use=False)
             spilled_ref = frame.ref  # the content this write-back persists
 
             def spilled() -> None:
@@ -359,8 +429,7 @@ class DiskCache:
                 if frame.ref is spilled_ref:
                     # Not rewritten mid-spill: the frame is clean now.
                     frame.dirty = False
-                frame.pins -= 1
-                if frame.pins > 0:
+                if not self._drop_pin(victim, frame):
                     self._allocate(granted)  # re-referenced: abort eviction
                     return
                 del self._frames[victim]
@@ -384,15 +453,17 @@ class DiskCache:
             self._evict_then(victim, waiter)
 
     def _pick_victim(self) -> Optional[str]:
-        best: Optional[str] = None
-        best_rank: Optional[tuple] = None
-        for key, frame in self._frames.items():
-            if frame.pins > 0:
-                continue
-            rank = (frame.protected, frame.last_use)  # unprotected LRU first
-            if best_rank is None or rank < best_rank:
-                best, best_rank = key, rank
-        return best
+        """The unpinned frame of least ``(protected, last_use)``: unprotected
+        LRU first.  Stale entries on top of the victim order are dropped;
+        the live top entry stays until its frame is pinned or released."""
+        victims = self._victims
+        if victims is None:
+            victims = self._rebuild_victims()
+        while victims:
+            if self._is_live(victims[0]):
+                return victims[0][2]
+            heapq.heappop(victims)
+        return None
 
     def _sequential_read(self, disk_index: int, key: str) -> bool:
         """True when ``key`` continues the drive's previous read.

@@ -25,6 +25,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import MachineError
 from repro.direct.cache import PageRef
+from repro.direct.exec_model import Probe, equijoin_probe, join_pages, probe_join
 from repro.relational.page import Page
 from repro.relational.schema import Row, Schema
 from repro.query.tree import (
@@ -230,6 +231,11 @@ class Instruction:
             and self.in_flight == 0
         )
 
+    def complete(self, now: float) -> None:
+        """The instruction has finished all its work at time ``now``."""
+        self.done = True
+        self.completed_at = now
+
     # -- consumption of input pages (page lifetime management) ---------------------
 
     def input_page_consumed(self, ref: PageRef) -> bool:
@@ -394,6 +400,9 @@ class JoinInstruction(Instruction):
         self.outer_index = outer_schema.index_of(node.condition.outer_attr)
         self.inner_index = inner_schema.index_of(node.condition.inner_attr)
         self._inner_consumptions: Dict[str, int] = {}
+        #: Equijoin probes of the inner pages in use, by page key.  Strict
+        #: 2PL keeps a base page unchanged while this instruction reads it.
+        self.probes: Dict[str, Probe] = {}
 
     # -- input flow ---------------------------------------------------------------
 
@@ -447,28 +456,45 @@ class JoinInstruction(Instruction):
         return self.operands[1].complete and self.next_unseen_inner(task) is None
 
     def compute_pair(self, task: Task, inner_ref: PageRef) -> List[Row]:
-        """Join the task's outer page with one inner page (row-exact)."""
-        from repro.direct.exec_model import join_pages
+        """Join the task's outer page with one inner page (row-exact).
 
-        return join_pages(
-            task.page.payload,
-            inner_ref.payload,
-            self.condition,
-            self.outer_index,
-            self.inner_index,
-        )
+        An equijoin probes the inner page with the probe built the first
+        time any task met that page.
+        """
+        if not self.condition.is_equijoin:
+            return join_pages(
+                task.page.payload,
+                inner_ref.payload,
+                self.condition,
+                self.outer_index,
+                self.inner_index,
+            )
+        probe = self.probes.get(inner_ref.key)
+        if probe is None:
+            probe = self.probes[inner_ref.key] = equijoin_probe(
+                inner_ref.payload, self.inner_index
+            )
+        return probe_join(task.page.payload, probe, self.outer_index)
 
     def inner_page_consumed(self, ref: PageRef) -> bool:
         """Record one outer-task pass over an inner page.
 
         Returns True once every outer page has met ``ref`` — only then may
-        an intermediate inner page be dropped.  Before the outer operand
-        completes the requirement is unknown, so the answer is False.
+        an intermediate inner page be dropped, and its probe with it.
+        Before the outer operand completes the requirement is unknown, so
+        the answer is False.
         """
         count = self._inner_consumptions.get(ref.key, 0) + 1
         self._inner_consumptions[ref.key] = count
         outer = self.operands[0]
-        return outer.complete and count >= outer.page_count
+        if outer.complete and count >= outer.page_count:
+            self.probes.pop(ref.key, None)
+            return True
+        return False
+
+    def complete(self, now: float) -> None:
+        super().complete(now)
+        self.probes.clear()
 
     def input_page_consumed(self, ref: PageRef) -> bool:
         # Outer pages are consumed exactly once (their task finished).

@@ -76,14 +76,6 @@ class _Processor:
         self.staged_ready = False
         self.busy_ms = 0.0
 
-    @property
-    def can_stage(self) -> bool:
-        return self.staged is None
-
-    @property
-    def fully_idle(self) -> bool:
-        return self.executing is None and self.staged is None
-
 
 @dataclass
 class DirectReport:
@@ -349,14 +341,14 @@ class DirectMachine(MachineHost):
     def _stageable_processor(self) -> Optional[_Processor]:
         # Prefer fully idle processors so work spreads out before
         # double-buffering kicks in.
+        busy_with_free_cell: Optional[_Processor] = None
         for proc in self.processors:
-            if proc.fully_idle:
-                return proc
-        if self.memory_cells >= 2:
-            for proc in self.processors:
-                if proc.can_stage and proc.executing is not None:
+            if proc.staged is None:
+                if proc.executing is None:
                     return proc
-        return None
+                if busy_with_free_cell is None:
+                    busy_with_free_cell = proc
+        return busy_with_free_cell if self.memory_cells >= 2 else None
 
     def _assign(self, proc: _Processor, task: Task) -> None:
         proc.staged = task
@@ -792,8 +784,10 @@ class DirectMachine(MachineHost):
         self.cache.write_page(final, written, dirty=True)
 
     def _complete(self, instr: Instruction) -> None:
-        instr.done = True
-        instr.completed_at = self.sim.now
+        instr.complete(self.sim.now)
+        # Dispatch scans live instructions only; the list keeps its order,
+        # so pick_instruction's first-wins tie-break is unchanged.
+        self._instructions.remove(instr)
         if not self.granularity.pipeline:
             # Relation-level: the operand becomes visible all at once now.
             for ref in instr.produced_pages:

@@ -135,8 +135,9 @@ def sort_merge_join(
     ii = inner.schema.index_of(condition.inner_attr)
     out = _join_output(outer, inner, name)
 
-    orows = sorted(outer.rows(), key=lambda r: r[oi])
-    irows = sorted(inner.rows(), key=lambda r: r[ii])
+    # NaN keys match nothing and have no place in a sort order.
+    orows = sorted((r for r in outer.rows() if r[oi] == r[oi]), key=lambda r: r[oi])
+    irows = sorted((r for r in inner.rows() if r[ii] == r[ii]), key=lambda r: r[ii])
     i = j = 0
     while i < len(orows) and j < len(irows):
         okey, ikey = orows[i][oi], irows[j][ii]
@@ -175,7 +176,9 @@ def hash_join(
 
     table: dict = {}
     for irow in inner.rows():
-        table.setdefault(irow[ii], []).append(irow)
+        key = irow[ii]
+        if key == key:  # NaN matches nothing, not even the same object
+            table.setdefault(key, []).append(irow)
     for orow in outer.rows():
         for irow in table.get(orow[oi], ()):
             out.insert(orow + irow)

@@ -25,6 +25,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECK
 
 from repro.errors import MachineError
 from repro.direct.cache import PageRef
+from repro.direct.exec_model import Probe, equijoin_probe, join_pages, probe_join
 from repro.relational.page import Page
 from repro.relational.schema import Row, Schema
 from repro.query.tree import (
@@ -129,6 +130,9 @@ class InstructionController:
         # order (should any appear later) never depends on PYTHONHASHSEED.
         self.broadcast_inflight: Dict[int, None] = {}
         self.pending_inner_requests: Dict[int, List["InstructionProcessor"]] = {}
+        #: Equijoin probes shared by this IC's IPs: inner page number ->
+        #: (the page probed, its probe).  Kept until the IC completes.
+        self._probes: Dict[int, Tuple[Page, Probe]] = {}
 
         # Fault tolerance (requirement 5): a watchdog per dispatched unit.
         # Maps ip_id -> (watchdog event, requeue closure).
@@ -215,6 +219,27 @@ class InstructionController:
             self.join_inner_index = self.operands[1].schema.index_of(node.condition.inner_attr)
         else:
             raise MachineError(f"ring machine cannot control {node.opcode!r} nodes")
+
+    def join_page_pair(self, outer_page: Page, inner_page: Page, inner_number: int) -> List[Row]:
+        """One IP's outer page x inner page ``inner_number`` (row-exact).
+
+        An equijoin reuses the inner page's probe across IPs.  The probe
+        is rebuilt if a different page object arrives under the same
+        number (missed-page recovery may resend it).
+        """
+        if not self.join_condition.is_equijoin:
+            return join_pages(
+                outer_page,
+                inner_page,
+                self.join_condition,
+                self.join_outer_index,
+                self.join_inner_index,
+            )
+        cached = self._probes.get(inner_number)
+        if cached is None or cached[0] is not inner_page:
+            cached = (inner_page, equijoin_probe(inner_page, self.join_inner_index))
+            self._probes[inner_number] = cached
+        return probe_join(outer_page, cached[1], self.join_outer_index)
 
     @property
     def is_join(self) -> bool:
@@ -663,6 +688,7 @@ class InstructionController:
         self.want_outstanding = 0
         self.broadcast_inflight = {}
         self.pending_inner_requests = {}
+        self._probes = {}
         self._flushes_outstanding = 0
         return orphans
 
@@ -688,6 +714,7 @@ class InstructionController:
             return
         self.done = True
         self.completed_at = self.machine.sim.now
+        self._probes = {}
         sim = self.machine.sim
         if sim.tracer.enabled:
             start = self.started_at if self.started_at is not None else self.completed_at

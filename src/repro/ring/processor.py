@@ -24,7 +24,6 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MachineError
-from repro.direct.exec_model import join_pages
 from repro.relational.page import Page, page_capacity
 from repro.relational.schema import Row, Schema
 
@@ -210,13 +209,7 @@ class InstructionProcessor:
 
     def _join_done(self, inner_page: Page, inner_index: int) -> None:
         ic = self._require_owner()
-        rows = join_pages(
-            self._outer_page,
-            inner_page,
-            ic.join_condition,
-            ic.join_outer_index,
-            ic.join_inner_index,
-        )
+        rows = ic.join_page_pair(self._outer_page, inner_page, inner_index)
         self._result_rows.extend(rows)
         self._irc_seen[inner_index] = None
         self.packets_executed += 1

@@ -1,6 +1,8 @@
 """The shared disk cache: hits, misses, spills, broadcast sharing."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.direct import traffic as tl
 from repro.direct.cache import DiskCache, PageRef
@@ -25,10 +27,40 @@ def make_cache(frames=4, disks=1):
     return sim, meter, cache
 
 
-def make_ref(key, on_disk=True):
+def make_ref(key, on_disk=True, nbytes=128):
     page = Page(SCHEMA, 128)
     page.append((1,))
-    return PageRef(key=key, nbytes=128, payload=page, on_disk=on_disk, disk_id=0, row_count=1)
+    return PageRef(key=key, nbytes=nbytes, payload=page, on_disk=on_disk, disk_id=0, row_count=1)
+
+
+def reference_victim(cache):
+    """The eviction rule by full scan: the unpinned frame of least
+    (protected, last_use)."""
+    best = None
+    for key, frame in cache._frames.items():
+        if frame.pins == 0 and (
+            best is None
+            or (frame.protected, frame.last_use)
+            < (cache._frames[best].protected, cache._frames[best].last_use)
+        ):
+            best = key
+    return best
+
+
+def checked_victims(cache):
+    """Make every victim pick assert agreement with the reference scan."""
+    picks = []
+    ordered = cache._pick_victim
+
+    def pick():
+        expected = reference_victim(cache)
+        victim = ordered()
+        assert victim == expected
+        picks.append(victim)
+        return victim
+
+    cache._pick_victim = pick
+    return picks
 
 
 def test_miss_reads_disk_then_delivers():
@@ -181,6 +213,7 @@ def test_read_during_spill_aborts_eviction():
     # from under the pinned reader; now the eviction aborts and retries
     # against a different victim.
     sim, meter, cache = make_cache(frames=4)
+    picks = checked_victims(cache)
     victim = make_ref("q.n1:0", on_disk=False)
     cache.write_page(victim, lambda: None)
     sim.run()
@@ -203,6 +236,7 @@ def test_read_during_spill_aborts_eviction():
     sim.run()
     assert read_done  # the pinned reader was served
     assert cache.is_resident(victim)  # eviction aborted, frame survived
+    assert picks[:2] == ["q.n1:0", "q.n1:1"]  # the retry took the next LRU frame
     assert cache.resident_frames == 4  # capacity accounting intact
     # The aborted write-back still persisted the page.
     assert victim.on_disk
@@ -289,7 +323,87 @@ def test_write_during_fill_passes_sanitizer_accounting():
         sim.finalize_sanitizer()  # raises on any reservation imbalance
 
 
+def test_fill_during_write_allocation_does_not_leak_a_reservation():
+    # Bugfix: a write_page that waited for a frame while a disk fill of the
+    # same key completed installed a second frame over the filled one; the
+    # fill's reservation was never handed back.
+    from repro.check import sanitizing
+
+    with sanitizing():
+        sim, meter, cache = make_cache(frames=4)
+        refs = [make_ref(f"base:r:{i}") for i in range(3)]
+        for ref in refs:
+            cache.read_shared(ref, lambda: None)  # three fills queue on the drive
+        cache.write_page(refs[0], lambda: None)  # the fourth slot
+        cache.write_page(refs[1], lambda: None)  # waits, while base:r:1 fills
+        sim.run()
+        sim.finalize_sanitizer()  # raises on any reservation imbalance
+        assert cache.resident_frames == len(cache._frames)
+
+
 def test_minimum_frames_enforced():
     sim = Simulator()
     with pytest.raises(MachineError):
         DiskCache(sim, TrafficMeter(), ExecModel(), 2, Resource(sim, "p"), [Resource(sim, "d")])
+
+
+# -- victim order --------------------------------------------------------------
+
+
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "write_clean", "protect", "unprotect", "discard"]),
+        st.integers(0, 9),
+        st.sampled_from([0.0, 1.0, 5.0, 20.0, 60.0]),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=cache_ops, frames=st.integers(4, 6))
+def test_victim_order_matches_reference_scan(ops, frames):
+    from repro.check import sanitizing
+
+    with sanitizing():
+        sim, meter, cache = make_cache(frames=frames, disks=2)
+        checked_victims(cache)
+        # Keys 0-4 are base pages (on disk); 5-9 are intermediates.  Large
+        # pages keep a port transaction (and its pin) open for a quarter
+        # of a spill, so re-reads often abort a dirty eviction.
+        refs = {
+            i: make_ref(f"base:r:{i}" if i < 5 else f"q.n1:{i}", on_disk=i < 5, nbytes=65536)
+            for i in range(10)
+        }
+        for op, i, advance in ops:
+            ref = refs[i]
+            if op == "read":
+                readable = cache.is_resident(ref) or cache.has_inflight(ref) or ref.on_disk
+                if readable:
+                    cache.read_shared(ref, lambda: None)
+            elif op in ("write", "write_clean"):
+                cache.write_page(ref, lambda: None, dirty=op == "write")
+            elif op == "protect":
+                cache.protect(ref)
+            elif op == "unprotect":
+                cache.unprotect(ref)
+            else:
+                cache.discard(ref)
+            sim.run(until=sim.now + advance)
+        sim.run()
+        sim.finalize_sanitizer()  # every evictable frame is in the victim order
+
+
+def test_sanitizer_flags_an_evictable_frame_missing_from_the_victim_order():
+    from repro.check import sanitizing
+    from repro.errors import SanitizerError
+
+    with sanitizing():
+        sim, meter, cache = make_cache(frames=4)
+        for i in range(5):  # the fifth page evicts: the victim order exists
+            cache.write_page(make_ref(f"q.n1:{i}", on_disk=False), lambda: None)
+            sim.run()
+        cache._victims.clear()  # a missed push
+        with pytest.raises(SanitizerError, match="missing from the victim order"):
+            sim.finalize_sanitizer()
