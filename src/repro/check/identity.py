@@ -1,13 +1,13 @@
-"""Byte-identity gate for span tracing.
+"""Byte-identity gate for observability.
 
 The repo's oracle is the rendered experiment report: every experiment is
 deterministic, so an observability axis must produce byte-identical
-renders.  This module runs each experiment once without a collector and
-once with an armed :class:`repro.obs.spans.SpanCollector`, and reports
-any experiment whose output changed.  Span hooks observe existing state
-transitions only — they schedule no events and draw no randomness — so
-an armed collector must be invisible in every report, including the
-serving experiments whose reports carry ``events_processed``.
+renders.  This module runs each experiment once unobserved and once with
+the whole :class:`repro.obs.ObsSession` armed (Chrome tracer, metrics
+registry, span collector), and reports any experiment whose output
+changed.  The probe only observes existing state transitions, so the
+sinks must be invisible in every report, including the serving
+experiments whose reports carry ``events_processed``.
 
 Exposed through ``repro check --tracing-identity`` and exercised (on a
 subset) by the test suite.
@@ -99,17 +99,17 @@ def tracing_identity_mismatches(
 ) -> List[str]:
     """Run the tracing identity gate; returns mismatch descriptions.
 
-    Each experiment runs twice — untraced, then with span collection
-    armed — and the rendered reports are compared byte for byte.  An
-    empty list means tracing is output-invisible, which is the contract.
+    Each experiment runs twice — unobserved, then with every sink armed —
+    and the rendered reports are compared byte for byte.  An empty list
+    means observability is output-invisible, which is the contract.
     """
-    from repro.obs.spans import collecting
+    from repro import obs
 
     names = list(experiments) if experiments else list(QUICK_CONFIGS)
     mismatches: List[str] = []
     for name in names:
         baseline = render_experiment(name)
-        with collecting():
+        with obs.observe(trace=True, metrics=True), obs.collecting():
             variant = render_experiment(name)
         if baseline != variant:
             first_diff = next(

@@ -35,8 +35,9 @@ Commands:
                                 text/json/sarif/github output;
                                 ``--self-test`` proves each rule and
                                 analysis still fires;
-                                ``--tracing-identity`` proves span tracing
-                                changes no output bytes
+                                ``--tracing-identity`` proves the armed
+                                observability session (tracer, metrics,
+                                spans) changes no output bytes
 
 ``run``/``trace``/``metrics`` accept ``--sanitize`` to enable the runtime
 simulation sanitizer (event-order, delay, lease, cache, and ring
@@ -243,6 +244,11 @@ def _cmd_bench(args) -> int:
     from repro.sweep import bench
 
     only = [part for part in (args.only or "").split(",") if part] or None
+    known = bench.bench_names()
+    unknown = [name for name in only or () if name not in known]
+    if unknown:
+        print(f"unknown bench name(s) {', '.join(unknown)}; known: {', '.join(known)}")
+        return 2
     report = bench.run_bench(
         quick=args.quick, scale=args.scale, workers=args.workers, only=only
     )
@@ -484,7 +490,7 @@ def _cmd_serve(args) -> int:
 def _cmd_explain_latency(args) -> int:
     """A traced serving run: critical-path latency attribution report."""
     from repro.obs.critical_path import explain
-    from repro.obs.spans import SpanCollector, collecting
+    from repro.obs import SpanCollector, collecting
     from repro.obs.timeseries import build_tsdb, spans_chrome_trace
     from repro.serve import serve
 
@@ -680,8 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tracing-identity",
         action="store_true",
         dest="tracing_identity",
-        help="verify an armed span collector renders every experiment "
-        "byte-identically to untraced runs (CI gate)",
+        help="verify the fully armed observability session (Chrome tracer, "
+        "metrics registry, span collector) renders every experiment "
+        "byte-identically to unobserved runs (CI gate)",
     )
     check.add_argument(
         "--experiments",

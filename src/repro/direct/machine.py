@@ -139,8 +139,8 @@ class DirectMachine(MachineHost):
 
         self.meter = TrafficMeter()
         self.processors = [_Processor(i) for i in range(processors)]
-        if self.sim.spans is not None:
-            self.sim.spans.register_capacity("processors", processors)
+        if self.sim.probe is not None:
+            self.sim.probe.pool("processors", processors)
         self.ports = Resource(self.sim, "cache-ports", capacity=cache_ports)
         self.disks = [
             Resource(self.sim, f"disk{i}", capacity=1) for i in range(num_disks)
@@ -288,7 +288,11 @@ class DirectMachine(MachineHost):
         utilization = checked_utilization(
             self.sim, busy, elapsed, len(self.processors), "direct.processors"
         )
-        self._publish_metrics(elapsed, utilization)
+        metrics = self._publish_host_metrics("direct", elapsed)
+        if metrics is not None:
+            metrics.set_gauge(
+                "machine.processor_utilization", utilization, machine="direct", run=self.sim.run_id
+            )
         return DirectReport(
             granularity=self.granularity.key,
             processors=len(self.processors),
@@ -302,16 +306,6 @@ class DirectMachine(MachineHost):
             events_processed=self.sim.events_processed,
         )
 
-    def _publish_metrics(self, elapsed: float, utilization: float) -> None:
-        """Summarize the run into the metrics registry (stable names)."""
-        metrics = self.sim.metrics
-        if not metrics.enabled:
-            return
-        metrics.set_gauge(
-            "machine.processor_utilization", utilization, machine="direct", run=self.sim.run_id
-        )
-        self._publish_host_metrics("direct", elapsed)
-
     # ------------------------------------------------------------------ dispatch
 
     def _dispatch(self) -> None:
@@ -320,17 +314,11 @@ class DirectMachine(MachineHost):
             proc = self._stageable_processor()
             if proc is None:
                 return
-            instr = pick_instruction(self._instructions, metrics=self.sim.metrics)
+            instr = pick_instruction(self._instructions)
+            if self.sim.probe is not None:
+                self.sim.probe.decision("mc.dispatch", self.sim.now, instr, proc.pid)
             if instr is None:
                 return
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    f"dispatch.{instr.label}",
-                    "mc",
-                    self.sim.now,
-                    "controller",
-                    args={"processor": proc.pid},
-                )
             task = instr.pop_task()
             instr.in_flight += 1
             instr.assigned_processors += 1
@@ -360,15 +348,15 @@ class DirectMachine(MachineHost):
             # Operand page lands in the staging memory cell (autonomous
             # transfer; does not occupy the execution unit).
             fill = self.model.proc_read_ms(task.page.nbytes)
-            if self.sim.spans is not None:
+            if self.sim.probe is not None:
                 # Service time for the query, but not processor busy time:
                 # the staging transfer runs beside the execution unit.
-                self.sim.spans.record(
+                self.sim.probe.interval(
                     "service",
                     task.instruction.query.name,
                     self.sim.now,
                     self.sim.now + fill,
-                    name="proc.stage",
+                    "proc.stage",
                 )
             self.sim.schedule(
                 fill,
@@ -406,30 +394,20 @@ class DirectMachine(MachineHost):
                 for cb in self._buffer_reads.pop(ref.key, []):
                     cb()
 
-            if self.sim.spans is not None:
+            if self.sim.probe is not None:
                 # The interconnect hop out of controller memory is transit
                 # time for the requesting query (sharers that pile onto an
                 # in-flight read fall into the queueing residual).
-                self.sim.spans.record(
+                self.sim.probe.interval(
                     "transit",
                     query,
                     self.sim.now,
                     self.sim.now + self.model.ic_latency_ms,
-                    name="ic.read",
+                    "ic.read",
                 )
             self.sim.schedule(self.model.ic_latency_ms, delivered, label="ic.read")
         else:
-            spans = self.sim.spans
-            if spans is not None and query is not None:
-                started = self.sim.now
-                inner_done = done
-
-                def cache_fetched() -> None:
-                    spans.record("disk", query, started, self.sim.now, name="cache.read")
-                    inner_done()
-
-                done = cache_fetched
-            self.cache.read_shared(ref, done)
+            self.cache.read_shared(ref, self._disk_span(query, "cache.read", done))
 
     def _staged_filled(self, proc: _Processor) -> None:
         proc.staged_ready = True
@@ -462,15 +440,8 @@ class DirectMachine(MachineHost):
         query: Optional[str] = None,
         what: str = "cpu",
     ) -> None:
-        if self.sim.tracer.enabled:
-            self.sim.tracer.span("cpu", "proc", self.sim.now, delay, f"P{proc.pid}")
-        if self.sim.metrics.enabled:
-            self.sim.metrics.tally("proc.charge_ms", kind="cpu").observe(delay)
-        if self.sim.spans is not None:
-            self.sim.spans.record(
-                "service", query, self.sim.now, self.sim.now + delay, name=f"proc.{what}"
-            )
-            self.sim.spans.resource_busy("processors", self.sim.now, delay)
+        if self.sim.probe is not None:
+            self.sim.probe.busy("proc", proc.pid, "cpu", query, self.sim.now, delay, what)
 
         def done() -> None:
             # Credit busy time when the service interval has actually
@@ -534,21 +505,10 @@ class DirectMachine(MachineHost):
                     query=instr.query.name,
                 )
 
-            if self.sim.tracer.enabled:
-                self.sim.tracer.span(
-                    "inner-fill", "proc", self.sim.now, fill, f"P{proc.pid}"
+            if self.sim.probe is not None:
+                self.sim.probe.busy(
+                    "proc", proc.pid, "inner-fill", instr.query.name, self.sim.now, fill, "fill"
                 )
-            if self.sim.metrics.enabled:
-                self.sim.metrics.tally("proc.charge_ms", kind="inner-fill").observe(fill)
-            if self.sim.spans is not None:
-                self.sim.spans.record(
-                    "service",
-                    instr.query.name,
-                    self.sim.now,
-                    self.sim.now + fill,
-                    name="proc.fill",
-                )
-                self.sim.spans.resource_busy("processors", self.sim.now, fill)
 
             def fill_done() -> None:
                 proc.busy_ms += fill

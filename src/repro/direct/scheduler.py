@@ -78,17 +78,11 @@ Granularity.PAGE = PAGE
 Granularity.TUPLE = TUPLE
 
 
-def pick_instruction(
-    instructions: Iterable[Instruction], metrics=None
-) -> Optional[Instruction]:
+def pick_instruction(instructions: Iterable[Instruction]) -> Optional[Instruction]:
     """The MC's balancing rule: least-loaded dispatchable instruction.
 
     Ties break on node id (stable), which gives leaf instructions a mild
     priority since they were created first — they feed everyone else.
-
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
-    enabled, every allocation decision is counted by operator kind so the
-    ``repro metrics`` report shows where the MC sent processors.
     """
     best: Optional[Instruction] = None
     for instr in instructions:
@@ -99,9 +93,4 @@ def pick_instruction(
             best.node.node_id,
         ):
             best = instr
-    if metrics is not None and metrics.enabled:
-        if best is None:
-            metrics.counter("scheduler.starved").add()
-        else:
-            metrics.counter("scheduler.pick", op=best.node.opcode).add()
     return best

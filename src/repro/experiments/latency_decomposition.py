@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.obs.critical_path import BUCKETS, explain
-from repro.obs.spans import SpanCollector, collecting
+from repro.obs import SpanCollector, collecting
 from repro.serve import ServeConfig, serve
 from repro.sweep import map_points
 

@@ -38,9 +38,6 @@ class FaultInjector:
         self._streams = RandomStreams(plan.seed)
         #: (counter name, site) -> count, in first-strike order.
         self.counters: Dict[Tuple[str, str], int] = {}
-        # Pre-bound obs fast paths, mirroring the engine.
-        self._trace = sim.tracer if sim.tracer.enabled else None
-        self._metrics = sim.metrics if sim.metrics.enabled else None
 
     # -- spec resolution -----------------------------------------------------
 
@@ -78,12 +75,8 @@ class FaultInjector:
         """Record one fault strike or recovery action at ``site``."""
         key = (name, site)
         self.counters[key] = self.counters.get(key, 0) + 1
-        if self._metrics is not None:
-            self._metrics.counter("faults." + name, site=site).add()
-        if self._trace is not None:
-            self._trace.instant(
-                "fault." + name, "fault", self.sim.now, "faults", args={"site": site}
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.decision("fault", self.sim.now, name, site)
 
     def total(self, name: str) -> int:
         """Total strikes/recoveries named ``name`` across all sites."""
@@ -99,9 +92,10 @@ class FaultInjector:
 
     def finish(self) -> None:
         """Publish final per-site totals as ``faults.*`` gauges (end of run)."""
-        if self._metrics is None:
+        metrics = self.sim.probe.metrics if self.sim.probe is not None else None
+        if metrics is None:
             return
         for (name, site), value in self.counters.items():
-            self._metrics.set_gauge(
+            metrics.set_gauge(
                 "faults." + name, value, site=site, run=self.sim.run_id
             )

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import CrashError, FaultError, MachineError
 from repro.direct.cache import PageRef, base_page_refs
 from repro.direct.exec_model import ExecModel
+from repro.obs.metrics import MetricsRegistry
 from repro.query.tree import AppendNode, DeleteNode, QueryNode, QueryTree, UpdateNode
 from repro.recovery.apply import apply_write
 from repro.recovery.txn import Transaction, TransactionManager
@@ -179,12 +180,8 @@ class MachineHost:
             raise MachineError(f"query {tree.name!r} already submitted")
         self._accept(tree)
         run = self._runs[tree.name] = QueryRun(tree=tree, submitted_at=self.sim.now)
-        if self.sim.tracer.enabled:
-            self.sim.tracer.instant(f"submit.{tree.name}", "query", self.sim.now, "queries")
-        if self.sim.spans is not None:
-            # Idempotent: the serve layer opens the record at offer time,
-            # so a query admitted from its queue keeps the earlier start.
-            self.sim.spans.query_begin(tree.name, self.sim.now)
+        if self.sim.probe is not None:
+            self.sim.probe.query_begin(tree.name, self.sim.now)
         return run
 
     def _accept(self, tree: QueryTree) -> None:
@@ -197,13 +194,8 @@ class MachineHost:
         now = self.sim.now
         run.completed_at = now
         run.result_rows = rows
-        if self.sim.tracer.enabled:
-            self.sim.tracer.span(
-                name, "query", run.submitted_at, now - run.submitted_at, "queries",
-                args={"result_rows": rows},
-            )
-        if self.sim.spans is not None:
-            self.sim.spans.query_end(name, now, rows)
+        if self.sim.probe is not None:
+            self.sim.probe.query_end(name, now, run.submitted_at, rows)
         self._retire(run.tree)
         if self.on_query_complete is not None:
             self.on_query_complete(name, now, rows)
@@ -254,9 +246,33 @@ class MachineHost:
             )
         return refs
 
-    def _publish_host_metrics(self, machine: str, elapsed: float) -> None:
-        """Gauges common to the disk-cache machines: elapsed, ports, disks, traffic."""
-        metrics = self.sim.metrics
+    def _disk_span(
+        self, query: Optional[str], what: str, done: Callable[[], None]
+    ) -> Callable[[], None]:
+        """Wrap a cache completion to record the fetch as a disk span.
+
+        The span covers the whole storage-hierarchy round trip — port
+        queueing, disk service, cache fill — which is exactly the interval
+        the query's timeline spends waiting on the disk cache.
+        """
+        probe = self.sim.probe
+        if probe is None or query is None:
+            return done
+        started = self.sim.now
+
+        def finished() -> None:
+            probe.interval("disk", query, started, self.sim.now, what)
+            done()
+
+        return finished
+
+    def _publish_host_metrics(self, machine: str, elapsed: float) -> Optional[MetricsRegistry]:
+        """Gauges common to the disk-cache machines: elapsed, ports, disks,
+        traffic.  Returns the registry for the machine's own gauges, or None
+        when metrics are off."""
+        metrics = self.sim.probe.metrics if self.sim.probe is not None else None
+        if metrics is None:
+            return None
         rid = self.sim.run_id
         metrics.set_gauge("machine.elapsed_ms", elapsed, machine=machine, run=rid)
         for resource in [self.ports] + self.disks:
@@ -274,12 +290,11 @@ class MachineHost:
             )
         for level, nbytes in self.meter.snapshot().items():
             metrics.set_gauge("traffic.bytes", nbytes, machine=machine, level=level, run=rid)
-        if not self.publish_per_query_metrics:
-            return
         for name, run in self._runs.items():
-            if run.elapsed_ms is not None:
+            if self.publish_per_query_metrics and run.elapsed_ms is not None:
                 metrics.set_gauge("query.elapsed_ms", run.elapsed_ms, query=name, run=rid)
                 metrics.set_gauge("query.result_rows", run.result_rows, query=name, run=rid)
+        return metrics
 
 
 def build_machine(name: str, catalog: Catalog, **kwargs: Any) -> MachineHost:

@@ -1,13 +1,15 @@
-"""Unified observability: metrics registry + structured tracing.
+"""Unified observability: one ambient session, three optional sinks.
 
-Both simulators (:mod:`repro.direct`, :mod:`repro.ring`) are instrumented
-against this package.  Observability is carried by an :class:`ObsSession`
-— a (tracer, metrics) pair — and the *ambient* session is what a freshly
-constructed :class:`repro.sim.engine.Simulator` picks up.  The default
-ambient session is disabled on both axes, so an uninstrumented run pays
-one ``.enabled`` attribute check per hook and records nothing; behaviour
-and results are bit-identical either way (hooks only observe, never
-schedule).
+The simulators report every state transition to one
+:class:`repro.obs.probe.Probe`, which fans out to the sinks of an
+:class:`ObsSession`: a Chrome-trace :class:`Tracer`, a
+:class:`MetricsRegistry` and a :class:`SpanCollector`, each ``None`` when
+off.  A freshly constructed :class:`repro.sim.engine.Simulator` binds the
+*ambient* session; with nothing armed it binds no probe, so an
+uninstrumented run pays one ``is not None`` check per hook.  Results are
+bit-identical either way (hooks only observe, never schedule).
+:func:`observe` swaps the tracer and registry, :func:`collecting` swaps
+only the collector; nested, they arm the whole session.
 
 Typical use::
 
@@ -22,29 +24,22 @@ Typical use::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Optional
 
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    metric_key,
-    parse_metric_key,
-)
-from repro.obs.spans import SpanCollector, active_collector, collecting
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry, metric_key, parse_metric_key
+from repro.obs.probe import Probe
+from repro.obs.spans import SpanCollector
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
     "ObsSession",
+    "Probe",
     "SpanCollector",
     "Tracer",
-    "active_collector",
     "ambient",
     "collecting",
-    "install",
     "metric_key",
     "next_run_id",
     "observe",
@@ -56,20 +51,24 @@ __all__ = [
 
 @dataclass
 class ObsSession:
-    """One (tracer, metrics) pair the simulators record into."""
+    """The sinks the simulators record into; each is None when off."""
 
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
+    tracer: Optional[Tracer] = None
+    metrics: Optional[MetricsRegistry] = None
+    spans: Optional[SpanCollector] = None
 
     @property
-    def enabled(self) -> bool:
-        """True when either axis is recording."""
-        return self.tracer.enabled or self.metrics.enabled
+    def armed(self) -> bool:
+        """True when any sink is recording."""
+        return not (self.tracer is None and self.metrics is None and self.spans is None)
+
+    @property
+    def mergeable(self) -> bool:
+        """True unless a sink is one global timeline (tracer, collector)."""
+        return self.tracer is None and self.spans is None
 
 
-#: The disabled default every simulator sees unless someone observes.
-_DISABLED = ObsSession()
-_ambient: ObsSession = _DISABLED
+_ambient = ObsSession()
 
 #: Monotone ids handed to instrumented Simulators.  A sweep experiment
 #: builds many machines under one session; the id becomes the ``run``
@@ -111,12 +110,15 @@ def ambient() -> ObsSession:
     return _ambient
 
 
-def install(session: ObsSession) -> ObsSession:
-    """Make ``session`` ambient; returns the one it replaced."""
+@contextmanager
+def _swapped(**sinks: Any) -> Iterator[ObsSession]:
+    """Make the ambient session, with ``sinks`` replaced, current for the block."""
     global _ambient
-    previous = _ambient
-    _ambient = session
-    return previous
+    previous, _ambient = _ambient, replace(_ambient, **sinks)
+    try:
+        yield _ambient
+    finally:
+        _ambient = previous
 
 
 @contextmanager
@@ -126,19 +128,27 @@ def observe(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> Iterator[ObsSession]:
-    """Install a fresh (or given) session as ambient for the block.
+    """Install a fresh (or given) tracer and registry for the block.
 
-    Only simulators *constructed inside* the block pick the session up —
-    a Simulator binds its session once, at construction.
+    The ambient span collector is kept.  Only simulators *constructed
+    inside* the block pick the session up — a Simulator binds its probe
+    once, at construction.
     """
-    session = ObsSession(
-        tracer=tracer if tracer is not None else (Tracer() if trace else NULL_TRACER),
-        metrics=registry
-        if registry is not None
-        else (MetricsRegistry() if metrics else NULL_REGISTRY),
-    )
-    previous = install(session)
-    try:
+    if tracer is None and trace:
+        tracer = Tracer()
+    if registry is None and metrics:
+        registry = MetricsRegistry()
+    with _swapped(tracer=tracer, metrics=registry) as session:
         yield session
-    finally:
-        install(previous)
+
+
+@contextmanager
+def collecting(collector: Optional[SpanCollector] = None) -> Iterator[SpanCollector]:
+    """Arm span collection for simulators constructed inside the block.
+
+    The ambient tracer and registry are kept; only the collector is
+    swapped, so collectors nest.
+    """
+    installed = collector if collector is not None else SpanCollector()
+    with _swapped(spans=installed):
+        yield installed

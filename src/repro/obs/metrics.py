@@ -13,9 +13,8 @@ The metric names the simulators emit are a stable interface, documented in
 README.md ("Observability"); experiments and the ``repro metrics`` CLI read
 them back instead of hand-rolling counters.
 
-A disabled registry hands out shared throwaway instruments and records
-nothing, so instrumentation hooks cost one attribute check when metrics
-are off.
+"Metrics off" is no registry at all: the session's ``metrics`` is
+``None`` and the probe skips it.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
 class MetricsRegistry:
     """Namespaced counters, tallies, time series, and gauges."""
 
-    def __init__(self, enabled: bool = True, capture_tally_samples: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self, capture_tally_samples: bool = False) -> None:
         #: Sweep worker registries keep raw tally samples so the parent's
         #: merge can replay them in order (bit-identical to serial).
         self._capture_tally = capture_tally_samples
@@ -58,18 +56,11 @@ class MetricsRegistry:
         self._tallies: Dict[str, Tally] = {}
         self._series: Dict[str, TimeSeries] = {}
         self._gauges: Dict[str, float] = {}
-        # Shared sinks handed out while disabled: recorded values are
-        # simply discarded with the instance.
-        self._null_counter = Counter("null")
-        self._null_tally = Tally("null")
-        self._null_series = TimeSeries("null")
 
     # -- instrument access -----------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The monotone counter for ``name`` + ``labels`` (created on first use)."""
-        if not self.enabled:
-            return self._null_counter
         key = metric_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
@@ -78,8 +69,6 @@ class MetricsRegistry:
 
     def tally(self, name: str, **labels: object) -> Tally:
         """The sample tally for ``name`` + ``labels``."""
-        if not self.enabled:
-            return self._null_tally
         key = metric_key(name, labels)
         instrument = self._tallies.get(key)
         if instrument is None:
@@ -90,8 +79,6 @@ class MetricsRegistry:
 
     def series(self, name: str, **labels: object) -> TimeSeries:
         """The time series for ``name`` + ``labels``."""
-        if not self.enabled:
-            return self._null_series
         key = metric_key(name, labels)
         instrument = self._series.get(key)
         if instrument is None:
@@ -100,8 +87,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Record a summary value (last write wins)."""
-        if not self.enabled:
-            return
         self._gauges[metric_key(name, labels)] = value
 
     # -- cross-process transfer --------------------------------------------------
@@ -140,8 +125,6 @@ class MetricsRegistry:
         recorded serially; tallies without samples fall back to the
         pairwise Welford combine.
         """
-        if not self.enabled:
-            return
 
         def rekey(key: str) -> str:
             if run_offset == 0:
@@ -216,9 +199,8 @@ class MetricsRegistry:
         }
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
         return (
-            f"MetricsRegistry({state}, {len(self._counters)} counters, "
+            f"MetricsRegistry({len(self._counters)} counters, "
             f"{len(self._tallies)} tallies, {len(self._series)} series, "
             f"{len(self._gauges)} gauges)"
         )
@@ -254,6 +236,3 @@ def report_csv(report: dict) -> str:
                 )
     return "\n".join(lines) + "\n"
 
-
-#: The shared disabled registry: the ambient default when no one measures.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -9,13 +9,13 @@ extractor in :mod:`repro.obs.critical_path` turns that into an exact
 queueing / service / transit / disk / retransmission partition of the
 query's end-to-end latency.
 
-Binding follows the sanitizer/injector ambient pattern: ``collecting()``
-installs a collector, ``Simulator.__init__`` snapshots it once, and
-components pre-bind ``sim.spans`` so a disabled collector costs one
-``is not None`` check per hook.  Armed collection must never perturb the
-simulation: hooks only *observe* state transitions that already happen —
-they schedule no events, draw no randomness, and mutate no machine state.
-``repro check --tracing-identity`` enforces this byte-for-byte.
+The collector is one sink of the ambient :class:`repro.obs.ObsSession`:
+:func:`repro.obs.collecting` installs it, and the simulator's
+:class:`repro.obs.probe.Probe` feeds it.  Armed collection must never
+perturb the simulation: hooks only *observe* state transitions that
+already happen — they schedule no events, draw no randomness, and mutate
+no machine state.  ``repro check --tracing-identity`` enforces this
+byte-for-byte.
 
 Time-series samples (in-flight, queue depth, shed, completions, resource
 busy-time) are folded into fixed windows *incrementally* so memory stays
@@ -24,8 +24,7 @@ O(windows + completed queries), not O(samples).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.timeseries import BusyFold, CumulativeFold, StepFold
 
@@ -58,8 +57,7 @@ class QueryRecord:
 class SpanCollector:
     """Collects per-query spans and windowed serving time-series.
 
-    ``window_ms`` sizes the time-series fold windows.  The collector is
-    "armed" by mere existence — components check ``sim.spans is not None``.
+    ``window_ms`` sizes the time-series fold windows.
     """
 
     def __init__(self, window_ms: float = 100.0) -> None:
@@ -124,10 +122,25 @@ class SpanCollector:
             fold = self._cumulative[series] = CumulativeFold(self.window_ms)
         fold.sample(t, value)
 
-    def resource_busy(self, resource: str, start: float, duration: float) -> None:
-        """Fold one busy interval of ``resource`` into its utilization."""
+    def resource_busy(
+        self,
+        resource: str,
+        start: float,
+        duration: float,
+        query: Optional[str] = None,
+        kind: str = "service",
+        name: str = "",
+    ) -> None:
+        """Fold one busy interval of ``resource`` into its utilization and
+        attribute it to ``query`` (when open) as a ``kind`` span."""
         if duration <= 0:
             return
+        if query is not None:
+            # ``record`` inlined: this is the collector's hottest path.
+            record = self._open.get(query)
+            end = start + duration
+            if record is not None and end > start:
+                record.spans.append((kind, name, start, end))
         fold = self._busy.get(resource)
         if fold is None:
             fold = self._busy[resource] = BusyFold(self.window_ms)
@@ -150,28 +163,3 @@ class SpanCollector:
 
     def capacities(self) -> Dict[str, int]:
         return self._capacity
-
-
-# ---------------------------------------------------------------- ambient context
-
-_ambient: Optional[SpanCollector] = None
-
-
-def active_collector() -> Optional[SpanCollector]:
-    """The ambient collector, or None when span collection is off."""
-    return _ambient
-
-
-@contextmanager
-def collecting(
-    collector: Optional[SpanCollector] = None,
-) -> Iterator[SpanCollector]:
-    """Arm span collection for simulators constructed inside the block."""
-    global _ambient
-    installed = collector if collector is not None else SpanCollector()
-    previous = _ambient
-    _ambient = installed
-    try:
-        yield installed
-    finally:
-        _ambient = previous

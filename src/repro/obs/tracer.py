@@ -12,9 +12,8 @@ Conventions:
 * each span names a ``track`` (a device, processor, ring, or the query
   lane); tracks map to trace *thread ids* with ``thread_name`` metadata so
   viewers show one swim-lane per simulated component;
-* a disabled tracer (``enabled=False``) records nothing — every recording
-  method returns immediately, so instrumentation hooks cost one attribute
-  check when tracing is off;
+* a tracer that exists records; "tracing off" is no tracer at all (the
+  session's ``tracer`` is ``None`` and the probe skips it);
 * a *streaming* tracer (``stream_path=...``) flushes events to disk in
   batches of ``flush_every`` instead of buffering the whole trace, so a
   long traced ``repro serve`` run stays memory-bounded; call
@@ -33,13 +32,11 @@ class Tracer:
 
     def __init__(
         self,
-        enabled: bool = True,
         stream_path: Optional[str] = None,
         flush_every: int = 10_000,
     ) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
-        self.enabled = enabled
         self.stream_path = stream_path
         self.flush_every = flush_every
         self._events: List[dict] = []
@@ -60,8 +57,6 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """One complete (``ph: "X"``) event covering ``[start, start+dur)``."""
-        if not self.enabled:
-            return
         event = {
             "name": name,
             "cat": cat,
@@ -85,8 +80,6 @@ class Tracer:
         args: Optional[dict] = None,
     ) -> None:
         """One instant (``ph: "i"``) event at ``ts_ms``."""
-        if not self.enabled:
-            return
         event = {
             "name": name,
             "cat": cat,
@@ -103,8 +96,6 @@ class Tracer:
 
     def counter(self, name: str, ts_ms: float, values: Dict[str, float]) -> None:
         """One counter (``ph: "C"``) sample; Perfetto plots it as a graph."""
-        if not self.enabled:
-            return
         self._events.append(
             {
                 "name": name,
@@ -132,8 +123,6 @@ class Tracer:
         Flow arrows with a shared ``flow_id`` link slices across tracks —
         used to tie packet-hop spans back to their query span.
         """
-        if not self.enabled:
-            return
         event = {
             "name": name,
             "cat": cat,
@@ -241,9 +230,4 @@ class Tracer:
         self._events.clear()
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return f"Tracer({state}, {len(self._events)} events, {len(self._tracks)} tracks)"
-
-
-#: The shared disabled tracer: the ambient default when no one is tracing.
-NULL_TRACER = Tracer(enabled=False)
+        return f"Tracer({len(self._events)} events, {len(self._tracks)} tracks)"

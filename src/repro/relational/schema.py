@@ -206,20 +206,16 @@ class Schema:
     # compiled types (``_types``) and whose CHAR values fit their slots
     # (``_char_slots``) is accepted without consulting the attributes.  Any
     # other row (a bool, an int in a FLOAT slot, a subclass, the wrong
-    # arity, an overflowing CHAR value) falls back to :meth:`_check_row`,
-    # which decides it and words the error, so both paths accept the same
-    # rows.
+    # arity, an overflowing CHAR value; in :meth:`validate_row` any
+    # non-ASCII one) falls back to :meth:`_check_row`, which decides it
+    # and words the error, so both paths accept the same rows.
 
     def validate_row(self, row: Row) -> None:
         """Raise :class:`SchemaError` unless ``row`` matches this schema."""
         if tuple(map(type, row)) == self._types:
             for i, width in self._char_slots:
                 value = row[i]
-                if (
-                    len(value) > width
-                    or value[-1:] == "\x00"
-                    or (not value.isascii() and len(value.encode()) > width)
-                ):
+                if len(value) > width or value[-1:] == "\x00" or not value.isascii():
                     break
             else:
                 return
@@ -246,7 +242,11 @@ class Schema:
             else:
                 if not isinstance(value, str):
                     raise SchemaError(f"attribute {attr_.name!r} expects str, got {value!r}")
-                if len(value.encode("utf-8")) > attr_.width:
+                try:
+                    encoded = value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SchemaError(f"value {value!r} of {attr_.name!r} is not UTF-8") from None
+                if len(encoded) > attr_.width:
                     raise SchemaError(
                         f"value {value!r} overflows CHAR({attr_.width}) attribute {attr_.name!r}"
                     )
@@ -283,13 +283,16 @@ class Schema:
         """Pack ``row`` into its fixed-width byte record."""
         if tuple(map(type, row)) == self._types:
             values = list(row)
-            for i, width in self._char_slots:
-                data = values[i].encode()
-                if len(data) > width or data[-1:] == b"\x00":
-                    break
-                values[i] = data
-            else:
-                return self._struct.pack(*values)
+            try:
+                for i, width in self._char_slots:
+                    data = values[i].encode()
+                    if len(data) > width or data[-1:] == b"\x00":
+                        break
+                    values[i] = data
+                else:
+                    return self._struct.pack(*values)
+            except UnicodeEncodeError:
+                pass  # a lone surrogate: the generic check rejects it
         self._check_row(row)
         values = list(row)
         for i in self._float_slots:

@@ -386,8 +386,8 @@ class InstructionController:
         shortfall = desired - len(self.my_ips) - self.want_outstanding
         if shortfall > 0:
             self.want_outstanding += shortfall
-            if self.machine.sim.metrics.enabled:
-                self.machine.sim.metrics.counter("ic.ip_requests").add(shortfall)
+            if self.machine.sim.probe is not None:
+                self.machine.sim.probe.decision("ic.request_ips", self.machine.sim.now, shortfall)
             self.machine.ic_request_ips(self, shortfall)
 
     def grant_ip(self, ip: "InstructionProcessor") -> None:
@@ -403,8 +403,8 @@ class InstructionController:
         self.idle_ips.append(ip)
         if self.started_at is None:
             self.started_at = self.machine.sim.now
-        if self.machine.sim.metrics.enabled:
-            self.machine.sim.metrics.counter("ic.ip_grants").add()
+        if self.machine.sim.probe is not None:
+            self.machine.sim.probe.decision("ic.grant_ip", self.machine.sim.now)
         self.dispatch_idle_ips()
 
     def _release_ip(self, ip: "InstructionProcessor") -> None:
@@ -424,19 +424,10 @@ class InstructionController:
         while self.idle_ips and self._work_available() > 0:
             ip = self.idle_ips.pop(0)
             kind = "join" if self.is_join else "unary"
-            if sim.tracer.enabled:
-                sim.tracer.instant(
-                    f"dispatch.{kind}",
-                    "ic",
-                    sim.now,
-                    f"IC{self.ic_id}",
-                    args={"ip": ip.ip_id, "backlog": self._work_available()},
-                )
-            if sim.metrics.enabled:
-                sim.metrics.counter("ic.dispatch", kind=kind).add()
-                sim.metrics.series(
-                    "ic.backlog", ic=self.ic_id, run=sim.run_id
-                ).record(sim.now, self._work_available())
+            if sim.probe is not None:
+                backlog = self._work_available()
+                sim.probe.decision("ic.dispatch", sim.now, self.ic_id, kind, ip.ip_id, backlog)
+                sim.probe.backlog(self.ic_id, sim.now, backlog)
             if self.is_join:
                 self._dispatch_join(ip)
             else:
@@ -566,16 +557,8 @@ class InstructionController:
         else:
             decision = "queued"
         sim = self.machine.sim
-        if sim.tracer.enabled:
-            sim.tracer.instant(
-                "request_inner",
-                "ic",
-                sim.now,
-                f"IC{self.ic_id}",
-                args={"ip": ip.ip_id, "index": index, "decision": decision},
-            )
-        if sim.metrics.enabled:
-            sim.metrics.counter("ic.inner_requests", decision=decision).add()
+        if sim.probe is not None:
+            sim.probe.decision("ic.inner_request", sim.now, self.ic_id, ip.ip_id, index, decision)
         if decision == "ignored":
             # "Subsequent requests ... received 'soon' afterwards can
             # be ignored" — the in-flight broadcast will serve it.
@@ -591,8 +574,8 @@ class InstructionController:
         inner = self.operands[1]
         ref = inner.pages[index]
         self.broadcast_inflight[index] = None
-        if self.machine.sim.metrics.enabled:
-            self.machine.sim.metrics.counter("ic.inner_broadcasts").add()
+        if self.machine.sim.probe is not None:
+            self.machine.sim.probe.decision("ic.broadcast_inner", self.machine.sim.now)
         last_known = inner.page_count if inner.complete else None
 
         def have_page(page: Page) -> None:
@@ -715,19 +698,16 @@ class InstructionController:
         self.done = True
         self.completed_at = self.machine.sim.now
         self._probes = {}
-        sim = self.machine.sim
-        if sim.tracer.enabled:
-            start = self.started_at if self.started_at is not None else self.completed_at
-            sim.tracer.span(
+        probe = self.machine.sim.probe
+        if probe is not None:
+            probe.instruction_end(
+                self.ic_id,
                 f"{self.tree.name}.{self.node.opcode}{self.node.node_id}",
-                "instruction",
-                start,
-                self.completed_at - start,
-                f"IC{self.ic_id}",
-                args={"rows_out": self.rows_emitted_to_consumer},
+                self.node.opcode,
+                self.started_at if self.started_at is not None else self.completed_at,
+                self.completed_at,
+                self.rows_emitted_to_consumer,
             )
-        if sim.metrics.enabled:
-            sim.metrics.counter("ic.instructions_done", op=self.node.opcode).add()
         self.machine.ic_instruction_done(self)
 
     # ------------------------------------------------------------------ local memory (level 1)

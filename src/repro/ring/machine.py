@@ -128,10 +128,10 @@ class RingMachine(MachineHost):
         self.mc = MasterController(self)
         self.ips = [InstructionProcessor(self, i + 1) for i in range(processors)]
         self.mc.free_ips.extend(self.ips)
-        if self.sim.spans is not None:
+        if self.sim.probe is not None:
             # IPs are not a Resource; declare their pooled capacity so the
             # time-series can normalize their busy integral.
-            self.sim.spans.register_capacity("ips", processors)
+            self.sim.probe.pool("ips", processors)
 
         self._free_ic_ids: List[int] = list(range(1, controllers + 1))
         self._ics: Dict[int, InstructionController] = {}
@@ -296,11 +296,8 @@ class RingMachine(MachineHost):
         if inj is not None:
             inj.count("ic.failure", f"ic{ic_id}")
         self._failovers[tree.name] = self._failovers.get(tree.name, 0) + 1
-        if self.sim.tracer.enabled:
-            self.sim.tracer.instant(
-                f"ic{ic_id}.failover", "fault", self.sim.now, "faults",
-                args={"query": tree.name},
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.decision("ic.failover", self.sim.now, ic_id, tree.name)
         orphans: List[InstructionProcessor] = []
         for other in [x for x in self._ics.values() if x.tree is tree]:
             orphans.extend(other.abort())
@@ -356,8 +353,8 @@ class RingMachine(MachineHost):
 
     def _publish_metrics(self, elapsed: float, ip_utilization: float) -> None:
         """Summarize the run into the metrics registry (stable names)."""
-        metrics = self.sim.metrics
-        if not metrics.enabled:
+        metrics = self._publish_host_metrics("ring", elapsed)
+        if metrics is None:
             return
         rid = self.sim.run_id
         for ring in (self.outer_ring, self.inner_ring):
@@ -372,7 +369,6 @@ class RingMachine(MachineHost):
                 "ring.mean_queue_wait_ms", ring.mean_queue_wait_ms, ring=ring.name, run=rid
             )
         metrics.set_gauge("machine.ip_utilization", ip_utilization, machine="ring", run=rid)
-        self._publish_host_metrics("ring", elapsed)
 
     def _result_relation(self, run: QueryRun) -> Relation:
         root = run.tree.root
@@ -721,34 +717,13 @@ class RingMachine(MachineHost):
         self, ic: InstructionController, ref: PageRef, done: Callable[[], None]
     ) -> None:
         """Bring a page from the cache (or disk) into IC local memory."""
-        self.cache.read_shared(ref, self._disk_span(ic, "cache.read", done))
+        self.cache.read_shared(ref, self._disk_span(ic.tree.name, "cache.read", done))
 
     def ic_overflow_page(
         self, ic: InstructionController, ref: PageRef, done: Callable[[], None]
     ) -> None:
         """IC local memory overflow: write the page to the cache segment."""
-        self.cache.write_page(ref, self._disk_span(ic, "cache.write", done), dirty=True)
-
-    def _disk_span(
-        self, ic: InstructionController, what: str, done: Callable[[], None]
-    ) -> Callable[[], None]:
-        """Wrap a cache completion to record the fetch as a disk span.
-
-        The span covers the whole storage-hierarchy round trip — port
-        queueing, disk service, cache fill — which is exactly the interval
-        the query's timeline spends waiting on the disk cache.
-        """
-        spans = self.sim.spans
-        if spans is None:
-            return done
-        query = ic.tree.name
-        started = self.sim.now
-
-        def finished() -> None:
-            spans.record("disk", query, started, self.sim.now, name=what)
-            done()
-
-        return finished
+        self.cache.write_page(ref, self._disk_span(ic.tree.name, "cache.write", done), dirty=True)
 
     # ------------------------------------------------------------------ completion
 
@@ -769,10 +744,8 @@ class RingMachine(MachineHost):
         inj = self.sim.faults
         if inj is not None:
             inj.count("txn.upgrade_abort", tree.name)
-        if self.sim.tracer.enabled:
-            self.sim.tracer.instant(
-                f"abort.{tree.name}", "txn", self.sim.now, "queries"
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.decision("txn.abort", self.sim.now, tree.name)
         self.mc.locks.release(tree.name)
         self.mc.enqueue(tree)
         self.sim.schedule(0.0, self.mc.try_admit, label="mc.admit")

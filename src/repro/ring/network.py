@@ -57,15 +57,15 @@ class Ring:
         self.bytes_carried = 0
         self.messages_carried = 0
         self.broadcasts = 0
-        # Pre-bound observability (the session never flips after the
-        # simulator is built): a disabled run pays one ``is not None``
-        # check per message, and an enabled run skips the per-message
-        # registry re-keying by holding its instruments directly.
-        self._trace = sim.tracer if sim.tracer.enabled else None
-        # Pre-bound span collection (None when off).  The medium Resource
-        # records on-loop transit spans; this binding adds the
-        # retransmission-backoff spans of the lossy path.
-        self._spans = sim.spans
+        # Pre-bound observability probe and message hook (None when
+        # nothing records them): a disabled run pays one ``is not None``
+        # check per message.  The medium Resource reports on-loop transit;
+        # this ring adds its messages and the lossy path's backoff.
+        self._probe = sim.probe
+        self._on_message: Optional[Callable[..., None]] = None
+        if self._probe is not None:
+            self._probe.ring(name)
+            self._on_message = self._probe.hook("message")
         # Packet conservation (Section 4's shift-register insertion
         # protocol: every message inserted into the loop is also removed).
         # Tracked only under sanitize mode — the removal count needs a
@@ -92,14 +92,6 @@ class Ring:
         self._lossy_seq = 0
         self._lossy_cursor = 0
         self._lossy_ready: Dict[int, Callable[[], None]] = {}
-        if sim.metrics.enabled:
-            metrics = sim.metrics
-            self._bytes_counter = metrics.counter("ring.bytes", ring=name)
-            self._messages_counter = metrics.counter("ring.messages", ring=name)
-            self._broadcasts_counter = metrics.counter("ring.broadcasts", ring=name)
-            self._message_bytes_tally = metrics.tally("ring.message_bytes", ring=name)
-        else:
-            self._bytes_counter = None
 
     def send(
         self,
@@ -139,20 +131,14 @@ class Ring:
         self.messages_carried += 1
         if broadcast:
             self.broadcasts += 1
-        if self._trace is not None:
-            self._trace.instant(
-                "ring.broadcast" if broadcast else "ring.send",
-                "ring",
-                self.sim.now,
+        if self._on_message is not None:
+            self._on_message(
                 self.name,
-                args={"bytes": nbytes, "queued": self._medium.queued},
+                "broadcast" if broadcast else "send",
+                self.sim.now,
+                nbytes,
+                queued=self._medium.queued,
             )
-        if self._bytes_counter is not None:
-            self._bytes_counter.add(nbytes)
-            self._messages_counter.add()
-            if broadcast:
-                self._broadcasts_counter.add()
-            self._message_bytes_tally.observe(nbytes)
         if self._injector is not None:
             if self._sanitizer is not None:
                 self.packets_injected += 1
@@ -236,16 +222,12 @@ class Ring:
             else:
                 delay = fate.timeout_ms * fate.backoff**attempt
             inj.count("ring.retransmit", self.name)
-            if self._spans is not None:
+            if self._probe is not None:
                 # The recovery wait (NAK turnaround or timeout backoff) is
                 # the retransmission bucket; the re-offered transfer's
                 # on-loop time is charged as transit like any other.
-                self._spans.record(
-                    "retransmission",
-                    query,
-                    self.sim.now,
-                    self.sim.now + delay,
-                    name=self.name,
+                self._probe.interval(
+                    "retransmission", query, self.sim.now, self.sim.now + delay, self.name
                 )
             self.sim.schedule(
                 delay,
@@ -279,18 +261,8 @@ class Ring:
         """Re-offer a lost transfer to the loop (charges bytes again)."""
         self.bytes_carried += nbytes
         self.messages_carried += 1
-        if self._bytes_counter is not None:
-            self._bytes_counter.add(nbytes)
-            self._messages_counter.add()
-            self._message_bytes_tally.observe(nbytes)
-        if self._trace is not None:
-            self._trace.instant(
-                "ring.retransmit",
-                "ring",
-                self.sim.now,
-                self.name,
-                args={"bytes": nbytes, "attempt": attempt},
-            )
+        if self._on_message is not None:
+            self._on_message(self.name, "retransmit", self.sim.now, nbytes, attempt=attempt)
         if self._sanitizer is not None:
             self.packets_injected += 1
         self._transmit(nbytes, deliver, attempt, seq, query=query)

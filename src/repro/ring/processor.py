@@ -315,22 +315,10 @@ class InstructionProcessor:
         sim = self.machine.sim
         charge_id = next(self._charge_ids)
         self._inflight_charges[charge_id] = (sim.now, delay)
-        if sim.tracer.enabled:
-            owner = f"IC{self.owner.ic_id}" if self.owner else "pool"
-            sim.tracer.span(
-                what, "ip", sim.now, delay, f"IP{self.ip_id}", args={"owner": owner}
-            )
-        if sim.metrics.enabled:
-            sim.metrics.tally("ip.charge_ms", kind=what).observe(delay)
-        if sim.spans is not None and self.owner is not None:
-            sim.spans.record(
-                "service",
-                self.owner.tree.name,
-                sim.now,
-                sim.now + delay,
-                name=f"ip.{what}",
-            )
-            sim.spans.resource_busy("ips", sim.now, delay)
+        if sim.probe is not None:
+            # Every charge runs on behalf of the owning IC's query.
+            ic = self._require_owner()
+            sim.probe.busy("ip", self.ip_id, what, ic.tree.name, sim.now, delay, owner=ic.ic_id)
 
         epoch = self._epoch
 

@@ -207,7 +207,7 @@ def _wire_open_loop(
 ) -> None:
     """Pre-schedule the open-loop arrival times; bridge through admission."""
     sim = machine.sim
-    spans = sim.spans  # observation only: no events, no machine state
+    probe = sim.probe  # observation only: no events, no machine state
     process = make_arrivals(
         config.arrivals,
         config.rate_qps,
@@ -222,19 +222,15 @@ def _wire_open_loop(
     def arrive() -> None:
         tree, _session, cost_pages = workload.next_query(workload_rng)
         offered_at[tree.name] = sim.now
-        if spans is not None:
-            # Latency counts from the offer instant, so the span record
-            # opens here — the machine's submit-time begin is idempotent.
-            spans.query_begin(tree.name, sim.now)
         decision = admission.offer(tree, priority=cost_pages)
+        if probe is not None:
+            # Latency counts from the offer instant, so the span record
+            # opens here, before the machine sees the query.
+            probe.offer(tree.name, sim.now, admission, shed=decision not in (ADMIT, QUEUE))
         if decision == ADMIT:
             machine.submit(tree)
         elif decision != QUEUE:
             offered_at.pop(tree.name, None)  # shed: never measured
-            if spans is not None:
-                spans.query_cancel(tree.name)
-        if spans is not None:
-            _sample_admission(spans, sim.now, admission)
 
     for at_ms in arrival_times:
         sim.schedule_at(at_ms, arrive, label="serve.arrival")
@@ -242,22 +238,11 @@ def _wire_open_loop(
     def query_done(name: str, at_ms: float, _rows: int) -> None:
         _record_completion(name, at_ms, offered_at, latency, completed)
         next_tree = admission.complete()
+        if probe is not None:
+            dequeued = None if next_tree is None else (next_tree.name, offered_at[next_tree.name])
+            probe.admission(sim.now, admission, completed["n"], dequeued)
         if next_tree is not None:
-            if spans is not None:
-                # The admission wait is known exactly at dequeue time:
-                # offered -> now.  Explicitly named so explain-latency can
-                # split admission queueing from in-machine queueing.
-                spans.record(
-                    "queueing",
-                    next_tree.name,
-                    offered_at[next_tree.name],
-                    sim.now,
-                    name="admission",
-                )
             machine.submit(next_tree)
-        if spans is not None:
-            _sample_admission(spans, sim.now, admission)
-            spans.count("completed", sim.now, float(completed["n"]))
 
     machine.on_query_complete = query_done
 
@@ -275,7 +260,7 @@ def _wire_closed_loop(
 ) -> None:
     """``users`` sessions, each issuing one query at a time with think time."""
     sim = machine.sim
-    spans = sim.spans  # observation only: no events, no machine state
+    probe = sim.probe  # observation only: no events, no machine state
     think_rng = streams.stream("serve.think")
     query_user: Dict[str, int] = {}
 
@@ -285,23 +270,20 @@ def _wire_closed_loop(
         tree, _session, cost_pages = workload.next_query(workload_rng)
         offered_at[tree.name] = sim.now
         query_user[tree.name] = user
-        if spans is not None:
-            spans.query_begin(tree.name, sim.now)
         decision = admission.offer(tree, priority=cost_pages)
         if decision != ADMIT:  # queue_limit=0 and max_inflight=users
             raise MachineError(
                 f"closed loop overflowed its own user bound ({decision})"
             )
+        if probe is not None:
+            probe.offer(tree.name, sim.now, admission, shed=False)
         machine.submit(tree)
-        if spans is not None:
-            _sample_admission(spans, sim.now, admission)
 
     def query_done(name: str, at_ms: float, _rows: int) -> None:
         _record_completion(name, at_ms, offered_at, latency, completed)
         admission.complete()
-        if spans is not None:
-            _sample_admission(spans, sim.now, admission)
-            spans.count("completed", sim.now, float(completed["n"]))
+        if probe is not None:
+            probe.admission(sim.now, admission, completed["n"])
         user = query_user.pop(name)
         sim.schedule(
             think_rng.expovariate(1.0 / config.think_ms),
@@ -317,19 +299,6 @@ def _wire_closed_loop(
             lambda u=user: issue(u),
             label="serve.think",
         )
-
-
-def _sample_admission(spans: Any, now: float, admission: AdmissionQueue) -> None:
-    """Fold the admission gauges/counters into the time-series windows.
-
-    Called at every admission transition (offer, dequeue, completion),
-    which is exactly the set of instants where these step functions can
-    change value.
-    """
-    spans.sample("inflight", now, float(admission.inflight))
-    spans.sample("queue_depth", now, float(admission.depth))
-    spans.count("offered", now, float(admission.arrived))
-    spans.count("shed", now, float(admission.shed))
 
 
 def _record_completion(
@@ -348,8 +317,8 @@ def _record_completion(
 
 def _publish_serve_metrics(sim: "Simulator", slo: Dict[str, Any]) -> None:
     """Mirror the headline SLO numbers into the metrics registry."""
-    metrics = sim.metrics
-    if not metrics.enabled:
+    metrics = sim.probe.metrics if sim.probe is not None else None
+    if metrics is None:
         return
     rid = sim.run_id
     metrics.set_gauge("serve.offered_qps", slo["offered_qps"], run=rid)

@@ -12,9 +12,10 @@ Hot-path notes:
   timestamp instead of one per event.  Within a batch, events sit in scheduling order (buckets only
   grow by append and sequence numbers are monotone), which preserves the
   pre-batching ``(time, sequence)`` total order bit-for-bit.
-* Observability hooks are pre-bound at construction (a session binds once,
-  at ``__init__``) so a disabled run pays one ``is not None`` check per
-  event instead of chained attribute loads.
+* Observability binds once, at ``__init__``: ``self.probe`` is the
+  ambient session's :class:`repro.obs.probe.Probe`, or None when no sink
+  is armed.  The fire loop pre-binds the probe's ``event`` hook, None
+  unless a sink records events, so it pays one ``is not None`` check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.check.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.obs.spans import SpanCollector
+    from repro.obs.probe import Probe
 
 class Event:
     """One scheduled callback.
@@ -86,8 +87,6 @@ class Simulator:
 
     def __init__(
         self,
-        tracer=None,
-        metrics=None,
         sanitize: Optional[bool] = None,
         faults: Optional["FaultPlan"] = None,
     ):
@@ -118,37 +117,24 @@ class Simulator:
             self._sanitizer: Optional["Sanitizer"] = Sanitizer()
         else:
             self._sanitizer = None
-        # Observability binds once, at construction: explicit arguments
-        # win, otherwise the ambient repro.obs session (disabled by
-        # default).  Imported lazily — repro.obs reuses the monitor
-        # instruments from this package.
-        if tracer is None or metrics is None:
-            from repro.obs import ambient
+        # Observability binds once, from the ambient repro.obs session: a
+        # probe over the armed sinks, or None.  The ``run`` label keeps
+        # apart the many simulators a sweep builds under one registry.
+        # Imported lazily: repro.obs reuses this package's instruments.
+        from repro import obs
 
-            session = ambient()
-            tracer = tracer if tracer is not None else session.tracer
-            metrics = metrics if metrics is not None else session.metrics
-        self.tracer = tracer
-        self.metrics = metrics
-        # Pre-bound fast paths: None when the axis is disabled, so the
-        # event loop does one identity check instead of two attribute
-        # chains per event.  ``enabled`` never flips after construction.
-        self._trace = tracer if tracer.enabled else None
-        self._event_counter = metrics.counter("sim.events") if metrics.enabled else None
-        # The ``run`` metric label: sweeps build many simulators under one
-        # registry; the label keeps their series and gauges apart.
-        if metrics.enabled:
-            from repro.obs import next_run_id
-
-            self.run_id = next_run_id()
-        else:
-            self.run_id = 0
+        session = obs.ambient()
+        self.run_id = obs.next_run_id() if session.metrics is not None else 0
+        self.probe: Optional["Probe"] = (
+            obs.Probe(session, self.run_id) if session.armed else None
+        )
+        self._on_event = self.probe.hook("event") if self.probe is not None else None
         # Fault injection binds the same way the sanitizer does: explicit
         # plan wins, else the ambient repro.faults plan.  A plan with
         # nothing armed binds no injector, so components keep their
         # fault-free fast paths and the run is bit-identical to an
         # unarmed one.  (Bound after observability — the injector
-        # pre-binds this simulator's tracer/metrics.)
+        # pre-binds this simulator's probe.)
         if faults is None:
             from repro.faults.plan import active_plan
 
@@ -159,14 +145,6 @@ class Simulator:
             self._faults: Optional["FaultInjector"] = FaultInjector(faults, self)
         else:
             self._faults = None
-        # Span collection binds last, the same ambient way: None when off,
-        # so components pre-bind ``sim.spans`` and pay one identity check.
-        # Armed collection only *observes* — it never schedules events,
-        # so ``events_processed`` (and every report byte) is unchanged;
-        # ``repro check --tracing-identity`` proves it.
-        from repro.obs.spans import active_collector
-
-        self.spans: Optional["SpanCollector"] = active_collector()
 
     # -- clock ----------------------------------------------------------------
 
@@ -254,10 +232,8 @@ class Simulator:
         self._events_processed += 1
         if self._sanitizer is not None:
             self._sanitizer.on_fire(time, event.label)
-        if self._trace is not None:
-            self._trace.instant(event.label or "event", "sim", time, "simulator")
-        if self._event_counter is not None:
-            self._event_counter.add()
+        if self._on_event is not None:
+            self._on_event(event.label, time)
         event.action()
 
     def _next_batch(self) -> bool:
@@ -317,8 +293,7 @@ class Simulator:
         self._running = True
         fired = 0
         sanitizer = self._sanitizer
-        trace = self._trace
-        counter = self._event_counter
+        on_event = self._on_event
         try:
             while True:
                 batch = self._batch
@@ -370,10 +345,8 @@ class Simulator:
                     fired += 1
                     if sanitizer is not None:
                         sanitizer.on_fire(when, event.label)
-                    if trace is not None:
-                        trace.instant(event.label or "event", "sim", when, "simulator")
-                    if counter is not None:
-                        counter.add()
+                    if on_event is not None:
+                        on_event(event.label, when)
                     event.action()
             # The clock always advances to ``until`` — even when the event
             # list drains first — so elapsed-time denominators (utilization,

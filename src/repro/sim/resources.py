@@ -6,11 +6,10 @@ Callers submit *jobs* with a known service time; the resource runs up to
 ``capacity`` jobs at once and queues the rest in FIFO order.  Utilization
 and queueing statistics are tracked for the experiment reports.
 
-Hot-path note: observability is pre-bound at construction (the simulator's
-session never flips after ``__init__``), so the per-job cost of disabled
-tracing/metrics is one ``is not None`` check rather than chained attribute
-loads and registry lookups.  The queue-depth series instrument is likewise
-resolved once instead of re-keyed on every submit.
+Hot-path note: the simulator's observability probe is pre-bound at
+construction (it never flips after ``__init__``), so the per-job cost of
+disabled observability is one ``is not None`` check.  The probe resolves
+this resource's instruments once, when the resource declares itself.
 """
 
 from __future__ import annotations
@@ -150,22 +149,12 @@ class Resource:
             sim.sanitizer.register_finish_check(
                 f"resource[{name}]", self._sanitize_finish
             )
-        # Pre-bound observability (None when the axis is disabled).
-        self._trace = sim.tracer if sim.tracer.enabled else None
-        # Pre-bound span collection: service intervals fold into the
-        # resource's utilization time-series, and jobs tagged with a query
-        # contribute attribution spans.  Observation only — no events.
-        self._spans = sim.spans
-        if self._spans is not None:
-            self._spans.register_capacity(name, capacity)
-        if sim.metrics.enabled:
-            self._wait_tally = sim.metrics.tally("resource.wait_ms", resource=name)
-            self._depth_series = sim.metrics.series(
-                "resource.queue_depth", resource=name, run=sim.run_id
-            )
-        else:
-            self._wait_tally = None
-            self._depth_series = None
+        # Pre-bound observability probe and queue-depth recorder (None
+        # when nothing records them).  Observation only — no events.
+        self._probe = sim.probe
+        self._record_depth: Optional[Callable[[float, int], None]] = None
+        if self._probe is not None:
+            self._record_depth = self._probe.resource(name, capacity)
 
     # -- state ----------------------------------------------------------------
 
@@ -260,7 +249,7 @@ class Resource:
 
         ``nbytes`` is accounting only (for bandwidth reports); ``done`` is
         called at completion time.  ``query``/``span_kind`` tag the job for
-        span collection (ignored when spans are off): the in-service
+        span collection (ignored when it is off): the in-service
         interval is recorded against the query under that attribution
         bucket, while time spent waiting in this FIFO stays uncovered and
         lands in the queueing bucket.
@@ -270,8 +259,8 @@ class Resource:
         self._queue.append(
             (service_time, done or (lambda: None), nbytes, self.sim.now, query, span_kind)
         )
-        if self._depth_series is not None:
-            self._depth_series.record(self.sim.now, len(self._queue))
+        if self._record_depth is not None:
+            self._record_depth(self.sim.now, len(self._queue))
         self._dispatch()
         # Peak depth is measured *after* dispatch: a job that went straight
         # into a free server never waited, so an uncongested resource
@@ -288,28 +277,14 @@ class Resource:
             )
             self._busy += 1
             wait = self.sim.now - enqueued_at
-            if self._spans is not None:
-                self._spans.resource_busy(self.name, self.sim.now, service_time)
-                if query is not None:
-                    self._spans.record(
-                        span_kind, query, self.sim.now,
-                        self.sim.now + service_time, name=self.name,
-                    )
             self.stats.wait_time += wait
             job_id = next(self._job_ids)
             self._in_service[job_id] = (self.sim.now, service_time)
-            if self._trace is not None:
-                self._trace.span(
-                    f"{self.name}.service",
-                    "resource",
-                    self.sim.now,
-                    service_time,
-                    self.name,
-                    args={"bytes": nbytes, "wait_ms": wait},
+            if self._probe is not None:
+                self._probe.service(
+                    self.name, query, span_kind, self.sim.now, service_time,
+                    wait, nbytes, len(self._queue),
                 )
-            if self._wait_tally is not None:
-                self._wait_tally.observe(wait)
-                self._depth_series.record(self.sim.now, len(self._queue))
 
             def finish(st=service_time, cb=done, nb=nbytes, jid=job_id):
                 self._busy -= 1

@@ -143,6 +143,13 @@ def bench_cases() -> List[BenchCase]:
     ]
 
 
+def bench_names() -> List[str]:
+    """Every row ``run_bench(only=...)`` can select, in run order."""
+    return ["sim_core", "spans_overhead", "wal_overhead"] + [
+        case.name for case in bench_cases()
+    ]
+
+
 def _sim_core_entry() -> dict:
     """Raw event-loop throughput: schedule and fire SIM_CORE_EVENTS noops."""
     from repro.sim.engine import Simulator
@@ -175,7 +182,7 @@ def _spans_overhead_entry() -> dict:
     The simulations are byte-identical (the tracing identity gate), so
     ``sim_events`` is the same count on both sides by construction.
     """
-    from repro.obs.spans import SpanCollector, collecting
+    from repro.obs import SpanCollector, collecting
     from repro.serve.service import ServeConfig, serve
 
     config = ServeConfig(machine="ring", rate_qps=40.0, duration_ms=800.0, scale=0.05)

@@ -70,19 +70,11 @@ def _run_point(fn: Callable, kwargs: Dict, capture_metrics: bool):
     obs.set_next_run_id(1)
     # capture_tally_samples: the parent replays raw tally observations in
     # point order, keeping merged statistics bit-identical to a serial run.
-    session = obs.ObsSession(
-        metrics=obs.MetricsRegistry(capture_tally_samples=True)
-        if capture_metrics
-        else obs.NULL_REGISTRY
-    )
-    previous = obs.install(session)
-    try:
+    registry = obs.MetricsRegistry(capture_tally_samples=True) if capture_metrics else None
+    with obs.observe(trace=False, metrics=False, registry=registry):
         value = fn(**kwargs)
-    finally:
-        obs.install(previous)
     consumed = obs.peek_run_id() - 1
-    dump = session.metrics.dump() if capture_metrics else None
-    return value, dump, consumed
+    return value, registry.dump() if registry is not None else None, consumed
 
 
 def map_points(
@@ -101,20 +93,13 @@ def map_points(
     interchangeable.  Tracing and span collection are single global
     timelines a worker process cannot write into, hence the fallback.
     """
-    from repro.obs.spans import active_collector
-
     points = list(points)
     session = obs.ambient()
     n_workers = effective_workers(workers, len(points))
-    if (
-        n_workers <= 1
-        or len(points) <= 1
-        or session.tracer.enabled
-        or active_collector() is not None
-    ):
+    if n_workers <= 1 or len(points) <= 1 or not session.mergeable:
         return [fn(**point) for point in points]
 
-    capture_metrics = session.metrics.enabled
+    capture_metrics = session.metrics is not None
     with ProcessPoolExecutor(
         max_workers=n_workers, mp_context=_pool_context()
     ) as pool:
@@ -123,13 +108,11 @@ def map_points(
         ]
         outcomes = [future.result() for future in futures]
 
-    values = []
-    offset = obs.peek_run_id() - 1 if capture_metrics else 0
-    for value, dump, consumed in outcomes:
-        if capture_metrics and dump is not None:
+    values = [value for value, _dump, _consumed in outcomes]
+    if session.metrics is not None:
+        offset = obs.peek_run_id() - 1
+        for _value, dump, consumed in outcomes:
             session.metrics.merge(dump, run_offset=offset)
             offset += consumed
-        values.append(value)
-    if capture_metrics:
         obs.set_next_run_id(offset + 1)
     return values

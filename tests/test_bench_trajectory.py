@@ -71,3 +71,21 @@ def test_compare_entries_custom_threshold():
     prev = _report(sim_core=1000)
     new = _report(sim_core=950)
     assert bench.compare_entries(prev, new, threshold=0.01) != []
+
+
+def test_bench_only_rejects_unknown_names(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "bench.json"
+    out.write_text("sentinel")
+    # E8's ``repro run`` name; the bench calls that row granularity_tuple.
+    code = main(["bench", "--quick", "--gate", "--only", "tuple_granularity", "--out", str(out)])
+    assert code == 2
+    printed = capsys.readouterr().out
+    assert "tuple_granularity" in printed
+    for name in bench.bench_names():
+        assert name in printed
+    assert {"sim_core", "spans_overhead", "wal_overhead", "granularity_tuple"} <= set(
+        bench.bench_names()
+    )
+    assert out.read_text() == "sentinel"  # the trajectory is untouched

@@ -1,13 +1,20 @@
 """The observability layer: tracer, metrics registry, ambient session,
 and the determinism guarantee (hooks observe, never schedule)."""
 
+import contextlib
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry, ObsSession, Tracer, metric_key, parse_metric_key
-from repro.obs.tracer import NULL_TRACER
+from repro.obs import (
+    MetricsRegistry,
+    Probe,
+    SpanCollector,
+    Tracer,
+    metric_key,
+    parse_metric_key,
+)
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
@@ -39,13 +46,6 @@ class TestTracer:
         doc = json.loads(path.read_text())
         assert isinstance(doc["traceEvents"], list)
         assert all("ph" in e and "ts" in e for e in doc["traceEvents"] if e["ph"] != "M")
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.span("x", "c", 0.0, 1.0, "t")
-        tracer.instant("y", "c", 0.0, "t")
-        tracer.counter("z", 0.0, {"v": 1})
-        assert tracer.event_count == 0
 
     def test_tracks_map_to_stable_tids(self):
         tracer = Tracer()
@@ -89,47 +89,65 @@ class TestMetricsRegistry:
         assert reg.value("n", kind="a") == 1
         assert reg.value("n", kind="b") == 1
 
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("n").add(5)
-        reg.tally("t").observe(1.0)
-        reg.set_gauge("g", 1.0)
-        assert reg.value("n") == 0.0
-        report = reg.report()
-        assert report["counters"] == {} and report["gauges"] == {}
-
 
 class TestAmbientSession:
     def test_default_ambient_is_disabled(self):
         session = obs.ambient()
-        assert not session.enabled
+        assert not session.armed
+        assert session.tracer is None and session.metrics is None and session.spans is None
 
     def test_observe_installs_and_restores(self):
         before = obs.ambient()
         with obs.observe() as session:
             assert obs.ambient() is session
-            assert session.tracer.enabled and session.metrics.enabled
+            assert session.tracer is not None and session.metrics is not None
         assert obs.ambient() is before
 
     def test_observe_axes_independent(self):
         with obs.observe(trace=True, metrics=False) as session:
-            assert session.tracer.enabled and not session.metrics.enabled
+            assert session.tracer is not None and session.metrics is None
         with obs.observe(trace=False, metrics=True) as session:
-            assert not session.tracer.enabled and session.metrics.enabled
+            assert session.tracer is None and session.metrics is not None
+
+    def test_observe_and_collecting_nest_into_one_session(self):
+        with obs.collecting() as collector:
+            with obs.observe(trace=True, metrics=False) as session:
+                assert session.spans is collector  # observe keeps the collector
+                with obs.collecting() as inner:
+                    assert obs.ambient().spans is inner
+                    assert obs.ambient().tracer is session.tracer  # kept
+                assert obs.ambient() is session
+            assert obs.ambient().spans is collector and obs.ambient().tracer is None
+        assert not obs.ambient().armed
 
     def test_simulator_binds_session_at_construction(self):
         with obs.observe() as session:
             sim = Simulator()
-        assert sim.tracer is session.tracer
-        assert sim.metrics is session.metrics
+        assert sim.probe.tracer is session.tracer
+        assert sim.probe.metrics is session.metrics
         assert sim.run_id > 0
         assert Simulator().run_id == 0  # outside the block: disabled, unlabeled
 
-    def test_explicit_arguments_beat_ambient(self):
-        tracer = Tracer()
-        sim = Simulator(tracer=tracer)
-        assert sim.tracer is tracer
-        assert sim.metrics is obs.ambient().metrics
+    def test_unarmed_session_binds_no_probe(self):
+        # "Off" is one rule for every sink: nothing armed, no probe at all.
+        assert Simulator().probe is None
+        with obs.observe(trace=False, metrics=False) as session:
+            assert not session.armed
+            assert Simulator().probe is None
+
+    def test_armed_session_binds_one_probe(self):
+        for sink in ("tracer", "metrics", "spans", "all"):
+            with obs.observe(trace=sink in ("tracer", "all"), metrics=sink in ("metrics", "all")):
+                with obs.collecting() if sink in ("spans", "all") else contextlib.nullcontext():
+                    session = obs.ambient()
+                    sim = Simulator()
+                    res = Resource(sim, "disk0")
+            assert isinstance(sim.probe, Probe), sink
+            assert res._probe is sim.probe  # components share the simulator's probe
+            # A span collector alone records no engine events: no per-event call.
+            assert (sim._on_event is None) == (sink == "spans")
+            for name in ("tracer", "metrics", "spans"):
+                assert getattr(sim.probe, name) is getattr(session, name), (sink, name)
 
 
 class TestWiring:
@@ -174,12 +192,6 @@ class TestDeterminism:
         # And a second uninstrumented run is identical again.
         again = figure_3_1.run(scale=0.05, selectivity=0.3, processors=(5,))
         assert again.rows == plain.rows
-
-    def test_null_instruments_are_shared(self):
-        assert Tracer(enabled=False).event_count == 0
-        assert NULL_TRACER.event_count == 0
-        session = ObsSession()
-        assert not session.enabled
 
 
 class TestStreamingTracer:
@@ -272,3 +284,59 @@ class TestMetricsRendering:
         registry.counter("c", x="1", y="2").add(3)
         text = report_csv(registry.report())
         assert '"c{x=1,y=2}"' in text
+
+
+class TestSinkIndependence:
+    """Each sink records the same thing alone as with the other two armed:
+    the probe's fan-out never lets one sink gate another."""
+
+    CONFIGS = [("direct", {"processors": 4}), ("ring", {"processors": 4}),
+               ("dataflow", {"processors": 2})]
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        from repro.workload import benchmark_queries, generate_benchmark_database
+
+        db = generate_benchmark_database(scale=0.05, seed=1)
+        # Built once: node ids are process-global and appear in Chrome
+        # event names, so every run must share the same trees.
+        return db.catalog, benchmark_queries(db.catalog, db.relation_names, selectivity=0.3)
+
+    def _observe(self, trees, trace, metrics, spans):
+        from repro.host import build_machine
+
+        catalog, queries = trees
+        collector = SpanCollector() if spans else None
+        with obs.observe(trace=trace, metrics=metrics) as session:
+            with obs.collecting(collector) if spans else contextlib.nullcontext():
+                obs.set_next_run_id(1)
+                for name, kwargs in self.CONFIGS:
+                    machine = build_machine(name, catalog, **kwargs)
+                    for tree in queries:
+                        machine.submit(tree)
+                    machine.run()
+        out = {}
+        if trace:
+            out["trace"] = session.tracer.chrome_trace()
+        if metrics:
+            out["metrics"] = session.metrics.dump()
+        if spans:
+            out["spans"] = [
+                (r.name, r.start, r.end, r.rows, list(r.spans)) for r in collector.completed
+            ]
+        return out
+
+    def test_each_sink_alone_equals_all_three(self, trees):
+        alone = {}
+        alone.update(self._observe(trees, True, False, False))
+        alone.update(self._observe(trees, False, True, False))
+        alone.update(self._observe(trees, False, False, True))
+        together = self._observe(trees, True, True, True)
+        assert set(together) == set(alone) == {"trace", "metrics", "spans"}
+        for sink in ("trace", "metrics", "spans"):
+            assert together[sink] == alone[sink], sink
+        # Every sink saw the run: three machines' worth of queries and events.
+        assert len(alone["spans"]) == 3 * len(trees[1])
+        assert sum(len(record[4]) for record in alone["spans"]) > 0
+        assert alone["metrics"]["counters"]["sim.events"] > 0
+        assert len(alone["trace"]["traceEvents"]) > 0

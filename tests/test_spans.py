@@ -9,8 +9,8 @@ The headline guarantees under test:
   and per-query attributions all satisfy that partition identity;
 * the repro-tsdb/v1 and Chrome-trace exports validate against their
   schema checks;
-* armed span collection changes no output bytes (the tracing identity
-  gate, exercised here on a cheap subset);
+* the fully armed observability session changes no output bytes (the
+  tracing identity gate, exercised here on a cheap subset);
 * an armed collector forces ``map_points`` into its serial fallback —
   one global span timeline cannot be split across worker processes.
 """
@@ -20,7 +20,8 @@ import json
 import pytest
 
 from repro.obs.critical_path import BUCKETS, attribute_query, explain
-from repro.obs.spans import SpanCollector, active_collector, collecting
+from repro import obs
+from repro.obs import SpanCollector, collecting
 from repro.obs.timeseries import (
     build_tsdb,
     spans_chrome_trace,
@@ -84,13 +85,13 @@ class TestSpanCollector:
         assert collector.completed == []
 
     def test_collecting_installs_and_restores(self):
-        assert active_collector() is None
+        assert obs.ambient().spans is None
         with collecting() as collector:
-            assert active_collector() is collector
+            assert obs.ambient().spans is collector
             with collecting(SpanCollector()) as inner:
-                assert active_collector() is inner
-            assert active_collector() is collector
-        assert active_collector() is None
+                assert obs.ambient().spans is inner
+            assert obs.ambient().spans is collector
+        assert obs.ambient().spans is None
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -249,10 +250,25 @@ class TestExplainServing:
 # -- tracing identity gate (cheap subset) ------------------------------------
 
 
-def test_tracing_identity_on_quick_subset():
-    from repro.check.identity import tracing_identity_mismatches
+def test_tracing_identity_on_quick_subset(monkeypatch):
+    from repro.check import identity
 
-    assert tracing_identity_mismatches(["section_3_3", "packets"]) == []
+    sessions = []
+    render = identity.render_experiment
+
+    def spy(name):
+        sessions.append(obs.ambient())
+        return render(name)
+
+    monkeypatch.setattr(identity, "render_experiment", spy)
+    subset = ["section_3_3", "packets", "ring_vs_direct", "tuple_granularity"]
+    assert identity.tracing_identity_mismatches(subset) == []
+    # Each experiment renders unobserved, then under the whole session:
+    # Chrome tracer, metrics registry and span collector all armed.
+    assert len(sessions) == 2 * len(subset)
+    for baseline, variant in zip(sessions[::2], sessions[1::2]):
+        assert not baseline.armed
+        assert None not in (variant.tracer, variant.metrics, variant.spans)
 
 
 # -- serial fallback when spans are armed (satellite) ------------------------
