@@ -89,7 +89,7 @@ class _Loser:
 
 def recover(store: StableStore) -> RecoveryReport:
     """Run analysis / redo / undo over ``store`` in place."""
-    records, valid_bytes = decode_stream(bytes(store.log))
+    records, valid_bytes = decode_stream(store.log)
     report = RecoveryReport(
         records_scanned=len(records),
         valid_log_bytes=valid_bytes,
@@ -98,7 +98,7 @@ def recover(store: StableStore) -> RecoveryReport:
     # A corrupt tail is detected damage, not data: truncate the durable
     # log to the valid prefix so post-recovery appends form a clean log.
     if report.torn_tail_bytes:
-        del store.log[valid_bytes:]
+        store.truncate_log(valid_bytes)
 
     damaged = set(store.damaged_pages())
     by_lsn: Dict[int, LogRecord] = {r.lsn: r for r in records}

@@ -6,29 +6,25 @@ a per-page checksum written *with* the page (the sector-checksum model:
 a torn write leaves bytes that no longer match their own checksum), and
 the durable prefix of the write-ahead log.
 
+The log is kept as the list of forced frames, appended as they arrive
+and joined only when someone reads :attr:`StableStore.log`: a growing
+run never copies the whole log to extend it.  It is never truncated
+except by restart, which cuts a torn tail off.
+
 Everything else — buffer pool, active-transaction table, dirty page
 table, the unforced log tail — lives in the
 :class:`~repro.recovery.txn.TransactionManager` and is simply discarded
 at a crash.
-
-The store serializes to a directory (``save``/``load``) so the
-``repro recover`` CLI and the CI smoke job can ``cmp`` recovered bytes
-against oracle bytes on real files.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from typing import Dict, List, Tuple
 
 from repro.errors import RecoveryError
 
 __all__ = ["StableStore", "page_crc"]
-
-_LOG_FILE = "wal.log"
-_MANIFEST = "manifest.json"
 
 
 def page_crc(data: bytes) -> int:
@@ -44,7 +40,8 @@ class StableStore:
         self.pages: Dict[str, Dict[int, bytes]] = {}
         #: relation -> {page_number: checksum the writer intended}.
         self.checksums: Dict[str, Dict[int, int]] = {}
-        self.log = bytearray()
+        #: Forced log frames in force order; :attr:`log` joins them.
+        self._log: List[bytes] = []
         self.page_writes = 0
         self.log_forces = 0
 
@@ -134,44 +131,23 @@ class StableStore:
 
     # -- log -----------------------------------------------------------------
 
+    @property
+    def log(self) -> bytes:
+        """The durable log, read-only.
+
+        The frames are joined on read and the joined bytes replace them,
+        so a second read with no force in between copies nothing.
+        """
+        if len(self._log) > 1:
+            self._log = [b"".join(self._log)]
+        return self._log[0] if self._log else b""
+
     def append_log(self, data: bytes) -> None:
         """Force ``data`` onto the durable log."""
-        self.log.extend(data)
+        self._log.append(bytes(data))
         self.log_forces += 1
 
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, directory: str) -> None:
-        """Serialize the store into ``directory`` (created if missing)."""
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, _LOG_FILE), "wb") as fh:
-            fh.write(bytes(self.log))
-        manifest: Dict[str, List[List[object]]] = {}
-        for relation in sorted(self.pages):
-            entries = []
-            for page_number in sorted(self.pages[relation]):
-                data = self.pages[relation][page_number]
-                entries.append(
-                    [page_number, self.checksums[relation][page_number],
-                     data.hex()]
-                )
-            manifest[relation] = entries
-        with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, directory: str) -> "StableStore":
-        store = cls()
-        with open(os.path.join(directory, _LOG_FILE), "rb") as fh:
-            store.log = bytearray(fh.read())
-        with open(os.path.join(directory, _MANIFEST), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        for relation, entries in manifest.items():
-            pages: Dict[int, bytes] = {}
-            sums: Dict[int, int] = {}
-            for page_number, crc, hex_data in entries:
-                pages[int(page_number)] = bytes.fromhex(hex_data)
-                sums[int(page_number)] = int(crc)
-            store.pages[relation] = pages
-            store.checksums[relation] = sums
-        return store
+    def truncate_log(self, size: int) -> None:
+        """Cut the durable log back to its first ``size`` bytes."""
+        log = self.log
+        self._log = [log[:size]] if size else []

@@ -4,7 +4,8 @@ A :class:`TransactionManager` sits between a machine and its
 :class:`~repro.recovery.store.StableStore`.  Machines call
 :meth:`begin` / :meth:`stage_rows` / :meth:`commit` / :meth:`abort`;
 the manager turns those into LSN-stamped WAL records, keeps the
-buffered (volatile) page images and the dirty page table, enforces the
+buffered (volatile) page images, the dirty page table and each active
+transaction's undo chain (nothing of a finished one), enforces the
 WAL rule (log records reach the durable log before the pages they
 describe), takes fuzzy checkpoints, and — when a crash fault strikes —
 models exactly what a power cut would leave on disk: the forced log
@@ -71,6 +72,7 @@ class Transaction:
         "status",
         "first_lsn",
         "last_lsn",
+        "undo",
     )
 
     def __init__(
@@ -93,6 +95,11 @@ class Transaction:
         self.status = "active"
         self.first_lsn = NO_LSN
         self.last_lsn = NO_LSN
+        #: This transaction's UPDATE records in LSN order: the chain
+        #: :meth:`TransactionManager.abort` walks backwards.  Dropped
+        #: when the transaction ends, so page images live only as long
+        #: as an undo could still need them.
+        self.undo: List[LogRecord] = []
 
 
 class TransactionManager:
@@ -116,8 +123,6 @@ class TransactionManager:
         self._flushed_lsn = 0
         self._tail = bytearray()
         self._tail_last_lsn = 0
-        #: Volatile mirror of every record appended (forced or not), by LSN.
-        self._records: Dict[int, LogRecord] = {}
         #: Buffered current page images (the "buffer pool"), lazily seeded
         #: from the store's intended images.
         self._images: Dict[str, Dict[int, bytes]] = {}
@@ -185,7 +190,6 @@ class TransactionManager:
             )
         self._tail.extend(encode_record(record))
         self._tail_last_lsn = record.lsn
-        self._records[record.lsn] = record
         return record
 
     def _take_lsn(self) -> int:
@@ -242,6 +246,7 @@ class TransactionManager:
             )
         )
         txn.last_lsn = record.lsn
+        txn.undo.append(record)
         self._install_image(relation, page_number, after, record.lsn)
         return record
 
@@ -288,6 +293,7 @@ class TransactionManager:
         )
         txn.last_lsn = record.lsn
         txn.status = "committed"
+        txn.undo = []
         self.force()
         del self.active[txn.txn_id]
         self.committed_names.append(txn.name)
@@ -299,45 +305,35 @@ class TransactionManager:
         """Undo every logged page write (CLR chain), then log ABORT.
 
         Called on lock-upgrade failure and on IC failover: the machine
-        discards its in-flight rows, this walks the transaction's chain
-        backwards restoring before-images, and the target relation is
-        byte-identical to its pre-transaction state afterwards.
+        discards its in-flight rows, this walks the transaction's undo
+        chain backwards restoring before-images, and the target relation
+        is byte-identical to its pre-transaction state afterwards.  An
+        active transaction has no CLRs yet (abort runs to completion in
+        one call), so its chain is exactly its UPDATE records.
         """
         self._guard()
-        lsn = txn.last_lsn
-        while lsn != NO_LSN:
-            record = self._records.get(lsn)
-            if record is None:
-                raise RecoveryError(
-                    f"abort of {txn.name!r}: undo chain LSN {lsn} missing "
-                    f"from the volatile log mirror"
+        for record in reversed(txn.undo):
+            clr = self._append(
+                LogRecord(
+                    lsn=self._take_lsn(), kind=KIND_CLR,
+                    txn_id=txn.txn_id, prev_lsn=txn.last_lsn,
+                    relation=record.relation,
+                    page_number=record.page_number,
+                    after=record.before, undo_next_lsn=record.prev_lsn,
                 )
-            if record.kind == KIND_UPDATE:
-                clr = self._append(
-                    LogRecord(
-                        lsn=self._take_lsn(), kind=KIND_CLR,
-                        txn_id=txn.txn_id, prev_lsn=txn.last_lsn,
-                        relation=record.relation,
-                        page_number=record.page_number,
-                        after=record.before, undo_next_lsn=record.prev_lsn,
-                    )
-                )
-                txn.last_lsn = clr.lsn
-                self.clr_records += 1
-                self._install_image(
-                    record.relation, record.page_number, record.before, clr.lsn
-                )
-                lsn = record.prev_lsn
-            elif record.kind == KIND_CLR:
-                lsn = record.undo_next_lsn
-            else:
-                lsn = record.prev_lsn
+            )
+            txn.last_lsn = clr.lsn
+            self.clr_records += 1
+            self._install_image(
+                record.relation, record.page_number, record.before, clr.lsn
+            )
         self._append(
             LogRecord(lsn=self._take_lsn(), kind=KIND_ABORT,
                       txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
         )
         txn.status = "aborted"
         txn.staged = []
+        txn.undo = []
         del self.active[txn.txn_id]
         self.aborted_names.append(txn.name)
         self.aborts += 1
@@ -460,7 +456,6 @@ class TransactionManager:
         self.dirty.clear()
         self._page_lsn.clear()
         self.active.clear()
-        self._records.clear()
         self._tail = bytearray()
 
     # -- sanitizer -------------------------------------------------------------
@@ -477,13 +472,6 @@ class TransactionManager:
         if self.crashed:
             return []
         violations = list(self._violations)
-        last = 0
-        for lsn in self._records:
-            if lsn <= last:
-                violations.append(
-                    f"WAL LSN not monotone in append order: {lsn} after {last}"
-                )
-            last = lsn
         for relation, page_number in sorted(self.dirty):
             violations.append(
                 f"dirty page leaked at end of run: {relation}:{page_number} "

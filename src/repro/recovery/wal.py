@@ -191,7 +191,10 @@ class _Reader:
         return _U64.unpack(self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecoveryError(f"WAL string is not UTF-8: {exc}") from None
 
     def blob(self) -> bytes:
         return self.take(self.u32())

@@ -1,9 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import struct
+import zlib
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from repro.errors import SchemaError
+from repro.errors import RecoveryError, SchemaError
+from repro.recovery.wal import KIND_BEGIN, LogRecord, decode_stream, encode_record
 from repro.relational import operators
 from repro.relational.page import Page, pack_rows_into_pages
 from repro.relational.predicate import attr
@@ -180,6 +184,70 @@ class TestPacketProperties:
         packet = ResultPacket(ic_id=1, relation_name="r", page_bytes=payload)
         assert ResultPacket.decode(packet.encode()) == packet
         assert len(packet.encode()) == result_packet_bytes(len(payload))
+
+
+def seal(kind, lsn, payload, txn_id=1, prev_lsn=0):
+    """A WAL frame with a correct magic and CRC around any payload."""
+    body = struct.pack(
+        "<2sBBQQQI", b"WL", kind, 0, lsn, txn_id, prev_lsn, len(payload)
+    ) + payload
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def assert_valid_prefix_or_error(data):
+    """decode_stream's contract: a self-consistent valid prefix, or RecoveryError."""
+    try:
+        records, valid = decode_stream(data)
+    except RecoveryError:
+        return
+    assert 0 <= valid <= len(data)
+    lsns = [r.lsn for r in records]
+    assert lsns == sorted(set(lsns)) and all(lsn > 0 for lsn in lsns)
+    assert decode_stream(data[:valid]) == (records, valid)
+
+
+sealed_frames = st.lists(
+    st.builds(
+        seal,
+        kind=st.integers(0, 255),
+        lsn=st.integers(0, 2**64 - 1),
+        payload=st.binary(max_size=48),
+        txn_id=st.integers(0, 2**64 - 1),
+        prev_lsn=st.integers(0, 2**64 - 1),
+    ),
+    max_size=6,
+)
+
+
+class TestWalDecoder:
+    @settings(max_examples=300)
+    @given(data=st.binary(max_size=400))
+    def test_arbitrary_bytes(self, data):
+        assert_valid_prefix_or_error(data)
+
+    @settings(max_examples=300)
+    @given(frames=sealed_frames, tail=st.binary(max_size=24))
+    @example(frames=[seal(KIND_BEGIN, 1, b"\x02\x00\xff\xfe")], tail=b"")
+    def test_crc_sealed_frames_with_arbitrary_payloads(self, frames, tail):
+        assert_valid_prefix_or_error(b"".join(frames) + tail)
+
+    @settings(max_examples=200)
+    @given(
+        names=st.lists(st.text(st.characters(codec="utf-8"), max_size=8), max_size=4),
+        kind=st.integers(0, 255),
+        payload=st.binary(max_size=48),
+    )
+    @example(names=["ok"], kind=KIND_BEGIN, payload=b"\x02\x00\xff\xfe")
+    def test_scan_ends_at_the_last_good_frame(self, names, kind, payload):
+        good = [
+            LogRecord(lsn=i + 1, kind=KIND_BEGIN, txn_id=i + 1, name=name)
+            for i, name in enumerate(names)
+        ]
+        prefix = b"".join(encode_record(record) for record in good)
+        data = prefix + seal(kind, len(good) + 1, payload)
+        records, valid = decode_stream(data)
+        assert records[: len(good)] == good
+        assert valid == (len(data) if len(records) > len(good) else len(prefix))
 
 
 class TestWorkloadHelpers:

@@ -8,6 +8,10 @@ machines, the E17 sweep, and the R011 lint rule that keeps machine code
 from mutating pages outside a logged transaction.
 """
 
+import struct
+import tracemalloc
+import zlib
+
 import pytest
 
 from repro.errors import RecoveryError, SanitizerError
@@ -120,6 +124,21 @@ class TestWalCodec:
         with pytest.raises(RecoveryError, match="monotone"):
             decode_stream(a + b)
 
+    def test_non_utf8_string_ends_scan_cleanly(self):
+        a = encode_record(LogRecord(lsn=1, kind=KIND_BEGIN, txn_id=1, name="a"))
+        payload = b"\x02\x00\xff\xfe"  # a BEGIN name that is not UTF-8
+        body = struct.pack(
+            "<2sBBQQQI", b"WL", KIND_BEGIN, 0, 2, 2, 0, len(payload)
+        ) + payload
+        bad = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        records, valid = decode_stream(a + bad)
+        assert [r.lsn for r in records] == [1] and valid == len(a)
+        store = StableStore()
+        store.append_log(a + bad)
+        report = recover(store)
+        assert report.torn_tail_bytes == len(bad)
+        assert report.losers == ["a"]
+
     def test_encoding_is_deterministic(self):
         rec = LogRecord(
             lsn=4, kind=KIND_UPDATE, txn_id=2, prev_lsn=3,
@@ -208,6 +227,36 @@ class TestTransactionManager:
     def test_checkpoint_every_validated(self, pair_schema):
         with pytest.raises(RecoveryError):
             TransactionManager(StableStore(), PAGE_BYTES, checkpoint_every=0)
+
+    def test_memory_tracks_live_state_not_history(self, pair_schema):
+        # Every transaction rewrites the same 8 pages, so live state is
+        # the same after 20 transactions as after 80; only the durable
+        # log (subtracted) and the list of committed names may grow.
+        # A finished transaction's records and page images must go.
+        page_bytes = 256
+        rows = [(i, 0) for i in range(120)]
+
+        def live_bytes(n):
+            tracemalloc.start()
+            store = StableStore()
+            store.seed_relation("r", canonical_pages(pair_schema, rows, page_bytes))
+            tm = TransactionManager(store, page_bytes)
+            for i in range(n):
+                txn = tm.begin(f"w{i}", "r", pair_schema)
+                new_rows = [(k, i) for k, _ in rows]
+                tm.stage_rows(txn, new_rows[:40])
+                if i % 10 == 9:
+                    tm.abort(txn)
+                else:
+                    tm.commit(txn, canonical_pages(pair_schema, new_rows, page_bytes))
+            log_bytes = len(store.log)
+            current, _ = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert tm.aborts == n // 10 and tm.commits == n - n // 10
+            return current - log_bytes
+
+        growth = live_bytes(80) - live_bytes(20)
+        assert growth < 16 * 1024, growth
 
 
 # ----------------------------------------------------------------- sanitizer
