@@ -4,37 +4,20 @@ Two prongs keep both simulators bit-deterministic and leak-free:
 
 * :mod:`repro.check.lint` — an AST-based static linter with project
   rules (seeded randomness, wall-clock leaks, unordered iteration near
-  event scheduling, float timestamp equality, acquire/release pairing,
-  per-module lock order, mutable defaults, ambient contexts outside
-  ``with``, unsorted report serialization, and in-place page mutation).
-  ``python -m repro check src`` gates CI, and :mod:`repro.check.flow`
-  layers the interprocedural static deadlock detection (F001) on top
-  via ``repro check --flow``.
+  event scheduling, float timestamp equality, mutable defaults, ambient
+  contexts outside ``with``, unsorted report serialization, and
+  unlogged page mutation).  ``python -m repro check src`` gates CI.
 * :mod:`repro.check.sanitizer` — a runtime sanitizer the simulators can
   run under (``repro run <experiment> --sanitize``) that detects delay
-  corruption, same-timestamp order hazards, resource-lease leaks, cache
-  frame-accounting bugs, ring packet-conservation violations, and —
-  through the ambient :class:`~repro.check.sanitizer.LockOrderWitness`
-  — runtime lock-order inversions.
+  corruption, same-timestamp order hazards, cache frame-accounting bugs,
+  ring packet-conservation violations, and WAL invariant breaks.
 
-Only the sanitizer's entry points are re-exported here; the linter and
-flow analyses are CLI/test tools and are imported on demand.
+Only the sanitizer's entry points are re-exported here; the linter is a
+CLI/test tool and is imported on demand.
 """
 
 from __future__ import annotations
 
-from repro.check.sanitizer import (
-    LockOrderWitness,
-    Sanitizer,
-    active_witness,
-    is_active,
-    sanitizing,
-)
+from repro.check.sanitizer import Sanitizer, is_active, sanitizing
 
-__all__ = [
-    "LockOrderWitness",
-    "Sanitizer",
-    "active_witness",
-    "is_active",
-    "sanitizing",
-]
+__all__ = ["Sanitizer", "is_active", "sanitizing"]

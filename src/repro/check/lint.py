@@ -11,8 +11,10 @@ R003      no iteration over bare ``set``/``frozenset``/``dict.keys()`` in
           scheduling or packet-emitting modules unless order is forced
           (``sorted(...)`` or an insertion-ordered container)
 R004      no float ``==``/``!=`` on simulation timestamps
-R005      every ``Resource.acquire`` lexically paired with a ``release``
-          or used as a context manager
+R008      no mutable default arguments in simulation or serving code
+R009      ambient contexts (``sanitizing()``, ...) entered with ``with``
+R010      ``json.dumps``/``json.dump`` pass ``sort_keys=True``
+R011      machine code mutates pages only through logged transactions
 ========  ==============================================================
 
 Findings carry ``path:line:col``; a finding is suppressed by putting
@@ -22,8 +24,8 @@ rewrite.
 
 The public entry points are :func:`lint_paths` (walk files/directories)
 and :func:`self_test` (seed each rule's canonical violation through the
-linter and fail if any rule goes quiet — the CI gate that the gate
-itself still works).
+linter and fail if any rule goes quiet or has no seed — the CI gate
+that the gate itself still works).
 """
 
 from __future__ import annotations
@@ -161,22 +163,14 @@ def render_json(findings: Iterable[Finding]) -> str:
 #: One canonical violation per rule, written as it would appear in a
 #: scheduling module.  ``self_test`` feeds each through the linter and
 #: demands the rule fires — catching a rule that silently stopped
-#: matching (the static-analysis analogue of a test for the tests).
+#: matching (the static-analysis analogue of a test for the tests).  A
+#: rule registered in ``ALL_RULES`` without a seed here fails the
+#: self-test too, so no rule escapes it.
 SEEDED_VIOLATIONS = {
     "R001": "import random\nrng = random.Random(7)\n",
     "R002": "import time\nstamp = time.time()\n",
     "R003": "pending: set = set()\nfor item in pending:\n    print(item)\n",
     "R004": "def f(now, deadline):\n    return now == deadline\n",
-    "R005": "def f(resource):\n    resource.acquire(label='x')\n",
-    "R006": (
-        "def grab_ab(self, request):\n"
-        "    self.lock_a.acquire(request)\n"
-        "    self.lock_b.acquire(request)\n"
-        "\n"
-        "def grab_ba(self, request):\n"
-        "    self.lock_b.acquire(request)\n"
-        "    self.lock_a.acquire(request)\n"
-    ),
     "R008": "def f(pending=[]):\n    return pending\n",
     "R009": "def f():\n    ctx = sanitizing()\n    return ctx\n",
     "R010": "import json\ndef f(report):\n    return json.dumps(report)\n",
@@ -197,7 +191,13 @@ _SELF_TEST_PATHS = {
 
 def self_test() -> List[str]:
     """Return a list of problems (empty == every rule fires and suppresses)."""
-    problems: List[str] = []
+    from repro.check.rules import ALL_RULES
+
+    problems: List[str] = [
+        f"{rule.rule_id}: registered rule has no seeded violation"
+        for rule in ALL_RULES
+        if rule.rule_id not in SEEDED_VIOLATIONS
+    ]
     for rule_id, snippet in sorted(SEEDED_VIOLATIONS.items()):
         test_path = _SELF_TEST_PATHS.get(rule_id, _SELF_TEST_PATH)
         hits = [f for f in lint_source(snippet, test_path) if f.rule == rule_id]

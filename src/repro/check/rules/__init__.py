@@ -9,8 +9,6 @@ from repro.check.rules.r001_rng import RULE as R001
 from repro.check.rules.r002_wallclock import RULE as R002
 from repro.check.rules.r003_set_order import RULE as R003
 from repro.check.rules.r004_float_eq import RULE as R004
-from repro.check.rules.r005_leases import RULE as R005
-from repro.check.rules.r006_lock_order import RULE as R006
 from repro.check.rules.r008_mutable_defaults import RULE as R008
 from repro.check.rules.r009_ambient_with import RULE as R009
 from repro.check.rules.r010_sorted_bytes import RULE as R010
@@ -18,5 +16,5 @@ from repro.check.rules.r011_page_mutation import RULE as R011
 
 #: Every registered rule, in id order.
 ALL_RULES: List[Rule] = [
-    R001, R002, R003, R004, R005, R006, R008, R009, R010, R011,
+    R001, R002, R003, R004, R008, R009, R010, R011,
 ]

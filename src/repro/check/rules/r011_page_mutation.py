@@ -1,6 +1,6 @@
 """R011 — machine code mutates pages only through logged transactions.
 
-The durability contract (DESIGN.md §14) is write-ahead logging: every
+The durability contract (DESIGN.md §13) is write-ahead logging: every
 in-place page or heap-file mutation a machine performs must be staged
 through the transaction layer so redo/undo images exist before the
 bytes move.  A bare ``page.mutate_row(...)`` or ``heap.delete_where(...)``
@@ -11,10 +11,10 @@ The rule is local and *fails closed*: a call to one of the mutating
 entry points is flagged unless the enclosing function visibly holds a
 transaction handle (a ``txn`` name, a ``.txn`` attribute such as the
 machines' ``self.txn`` manager, or a ``stage_rows``/``apply_write``
-call) — the lexical evidence that the write is being logged.  Proving
-the handle is actually *used* for this write is the flow analyses' job;
-here absence of any handle is already a finding.  Suppress deliberate
-exceptions with ``# repro: allow[R011]``.
+call) — the lexical evidence that the write is being logged.  The rule
+does not prove the handle is actually *used* for this write; absence of
+any handle is already a finding.  Suppress deliberate exceptions with
+``# repro: allow[R011]``.
 """
 
 from __future__ import annotations

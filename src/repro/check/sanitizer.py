@@ -12,13 +12,13 @@ The static linter (:mod:`repro.check.lint`) proves properties about the
   requires every participant in such a tie to carry a non-empty label so a
   divergent replay can be traced to the offending site (unlabeled tie
   participants are un-auditable and are reported as order hazards).
-* **lease leaks** — a :meth:`repro.sim.resources.Resource.acquire` without a
-  matching ``release`` holds a server forever.
 * **cache frame accounting** — pinned-frame leaks at end of run, and
   double-reserve (more frame reservations than capacity) at allocation time.
 * **ring packet conservation** — every packet inserted into a ring's shift
   register must also be removed (Section 4's insertion protocol); a wedge
   between the two is a lost or duplicated delivery.
+* **write-ahead logging** — the transaction manager's LSN order,
+  write-ahead rule, dirty pages and open transactions at end of run.
 
 Violations raise :class:`repro.errors.SanitizerError` whose message ends
 with a breadcrumb of the most recently fired events (the same labels the
@@ -47,22 +47,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Tuple
 
 from repro.errors import SanitizerError
 
-__all__ = [
-    "LockOrderWitness",
-    "Sanitizer",
-    "active_witness",
-    "is_active",
-    "sanitizing",
-]
+__all__ = ["Sanitizer", "is_active", "sanitizing"]
 
 #: Ambient sanitize mode; read once by each Simulator at construction.
 _active: bool = False
-#: Ambient lock-order witness; consulted by LockManager on every grant.
-_witness: Optional["LockOrderWitness"] = None
 
 
 def is_active() -> bool:
@@ -70,102 +62,24 @@ def is_active() -> bool:
     return _active
 
 
-def active_witness() -> Optional["LockOrderWitness"]:
-    """The ambient lock-order witness, or None outside ``sanitizing()``."""
-    return _witness
-
-
 @contextmanager
 def sanitizing() -> Iterator[None]:
-    """Enable sanitize mode for simulators constructed inside the block.
-
-    Also arms a fresh :class:`LockOrderWitness` for the block, so every
-    ``LockManager`` grant inside is order-checked at runtime.
-    """
-    global _active, _witness
-    previous, previous_witness = _active, _witness
+    """Enable sanitize mode for simulators constructed inside the block."""
+    global _active
+    previous = _active
     _active = True
-    _witness = LockOrderWitness()
     try:
         yield
     finally:
-        _active, _witness = previous, previous_witness
-
-
-class LockOrderWitness:
-    """Runtime complement of the static lock-order analysis (F001).
-
-    The static pass proves the *source* admits no acquisition cycle at
-    module granularity; this witness checks the orders a run actually
-    exhibits at relation granularity, which the static pass cannot see
-    (relation names are data).  Every acquisition is recorded as
-    ``(query, lock, site)``; acquiring ``b`` while holding ``a``
-    establishes the global edge ``a -> b``.  A later acquisition that
-    would establish ``b -> a`` is an inversion: two in-flight queries
-    could each hold one lock and wait forever on the other.  The raise
-    names both sites — the one acquiring against the established order
-    and the one that established it.
-
-    ``LockManager`` grants each query's whole set atomically (one
-    :meth:`record_grant` per admission), so a run that stays inside it
-    can never trip the witness; the witness is the guard for the day
-    that invariant is relaxed (item 4's sharded multi-ring admission
-    acquires per shard).
-    """
-
-    def __init__(self) -> None:
-        #: query -> [(lock, site)] in acquisition order, currently held.
-        self._held: Dict[str, List[Tuple[str, str]]] = {}
-        #: (first, second) -> (site acquiring first, site acquiring second)
-        self._edges: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        self.acquisitions = 0
-
-    def record(self, query: str, lock: str, site: str) -> None:
-        """One lock acquisition by ``query`` at source/site ``site``."""
-        self.record_grant(query, ((lock, site),))
-
-    def record_grant(self, query: str, locks: Sequence[Tuple[str, str]]) -> None:
-        """One *atomic* grant of a whole lock set to ``query``.
-
-        Deadlock needs hold-and-wait; an all-or-nothing grant never waits
-        while holding, so the locks *within* one grant are unordered with
-        respect to each other and establish no edges.  Edges (and
-        inversion checks) run only against locks ``query`` already held
-        from earlier grants.
-        """
-        held = self._held.setdefault(query, [])
-        for lock, site in locks:
-            for prior_lock, prior_site in held:
-                if prior_lock == lock:
-                    continue
-                reverse = self._edges.get((lock, prior_lock))
-                if reverse is not None:
-                    raise SanitizerError(
-                        f"lock-order inversion: {site} acquires {lock!r} "
-                        f"while holding {prior_lock!r}, but {reverse[1]} "
-                        f"acquired {prior_lock!r} while holding {lock!r}; "
-                        f"two queries interleaving these orders deadlock"
-                    )
-                self._edges.setdefault((prior_lock, lock), (prior_site, site))
-        held.extend(locks)
-        self.acquisitions += len(locks)
-
-    def release(self, query: str) -> None:
-        """``query`` dropped its whole lock set (all-at-once release)."""
-        self._held.pop(query, None)
-
-    @property
-    def edge_count(self) -> int:
-        """Distinct lock-order edges observed so far."""
-        return len(self._edges)
+        _active = previous
 
 
 class Sanitizer:
     """Per-simulator dynamic checker.
 
     The engine calls :meth:`on_schedule` / :meth:`on_fire` from its hot
-    path; components (resources, caches, rings) register *finish checks*
-    at construction, and the owning machine runs them via
+    path; components (caches, rings, the transaction manager) register
+    *finish checks* at construction, and the owning machine runs them via
     :meth:`repro.sim.engine.Simulator.finalize_sanitizer` once the run has
     drained.
     """

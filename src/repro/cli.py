@@ -29,18 +29,15 @@ Commands:
                                 buckets (repro-explain/v1); optional
                                 repro-tsdb/v1 time-series and Chrome-trace
                                 flow-graph outputs
-* ``check [paths...]``        — determinism lint; ``--flow`` adds the
-                                interprocedural static deadlock detection
-                                (F001); ``--format`` selects
-                                text/json/sarif/github output;
-                                ``--self-test`` proves each rule and
-                                analysis still fires;
+* ``check [paths...]``        — determinism lint; ``--json`` emits
+                                findings as JSON; ``--self-test`` proves
+                                every registered rule still fires;
                                 ``--tracing-identity`` proves the armed
                                 observability session (tracer, metrics,
                                 spans) changes no output bytes
 
 ``run``/``trace``/``metrics`` accept ``--sanitize`` to enable the runtime
-simulation sanitizer (event-order, delay, lease, cache, and ring
+simulation sanitizer (event-order, delay, cache, ring, and WAL
 invariants; violations raise ``SanitizerError``).
 
 Sweep experiments accept ``--workers N`` to fan independent sweep points
@@ -280,20 +277,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.check.lint import lint_paths, self_test
-    from repro.check.render import render
+    from repro.check.lint import lint_paths, render_json, render_text, self_test
 
     if args.self_test:
-        from repro.check.flow import flow_self_test
-
-        problems = self_test() + flow_self_test()
+        problems = self_test()
         if problems:
             for problem in problems:
                 print(problem)
             return 2
-        print(
-            "self-test OK: every rule and flow analysis fires and suppresses"
-        )
+        print("self-test OK: every rule fires and suppresses")
         return 0
     if args.tracing_identity:
         from repro.check.identity import tracing_identity_mismatches
@@ -309,13 +301,8 @@ def _cmd_check(args) -> int:
         print("tracing identity OK: byte-identical renders")
         return 0
     findings = lint_paths(args.paths)
-    if args.flow:
-        from repro.check.flow import analyze_paths
-
-        findings = findings + analyze_paths(args.paths)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    fmt = "json" if args.as_json else args.format
-    text = render(findings, fmt)
+    fmt = "json" if args.as_json else "text"
+    text = render_json(findings) if args.as_json else render_text(findings)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -658,18 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json", help="emit findings as JSON"
     )
     check.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural lock-order deadlock "
-        "detection (F001)",
-    )
-    check.add_argument(
-        "--format",
-        choices=["text", "json", "sarif", "github"],
-        default="text",
-        help="finding output format (github emits ::error annotations)",
-    )
-    check.add_argument(
         "--out",
         dest="report_out",
         default=None,
@@ -679,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test",
         action="store_true",
         dest="self_test",
-        help="verify every rule and flow analysis fires on its seeded "
+        help="verify every registered rule fires on its seeded "
         "violation (CI gate)",
     )
     check.add_argument(

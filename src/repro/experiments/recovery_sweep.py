@@ -3,7 +3,7 @@
 The paper's machines never lose power: Section 4's requirement 5 covers
 *component* failures (a disabled processor), not a whole-machine crash
 mid-transaction.  The durability extension adds exactly that: a WAL with
-fuzzy checkpoints (DESIGN.md §14) and an ARIES-style restart.  This
+fuzzy checkpoints (DESIGN.md §13) and an ARIES-style restart.  This
 experiment is its acceptance gate — a grid of
 ``(machine, write_fraction, crash_rate)`` cells where every crash tears
 eligible dirty pages, corrupts the unforced log tail, and must still

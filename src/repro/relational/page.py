@@ -102,7 +102,7 @@ class Page:
     def mutate_row(self, slot: int, row: Row) -> Row:
         """Overwrite the record in ``slot`` in place; returns the old row.
 
-        This is the page-granularity write the WAL logs (DESIGN.md §14):
+        This is the page-granularity write the WAL logs (DESIGN.md §13):
         machine code must only reach it through a logged transaction —
         the R011 lint rule enforces that — but the page itself just
         mutates and marks the frame dirty.

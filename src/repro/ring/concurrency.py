@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.check.sanitizer import active_witness
 from repro.errors import ConcurrencyError
 from repro.query.tree import QueryTree
 
@@ -66,7 +65,10 @@ class LockManager:
     """All-at-once relation locks with FIFO admission.
 
     ``try_acquire`` either grants the entire lock set or nothing; the MC
-    retries the queue head whenever a query releases.
+    retries the queue head whenever a query releases.  No query ever
+    holds one lock while waiting for another — a second grant to the
+    same query raises :class:`ConcurrencyError` and ``try_upgrade``
+    refuses rather than waits — so deadlock cannot arise.
     """
 
     def __init__(self):
@@ -99,23 +101,6 @@ class LockManager:
             held.holders.add(request.query_name)
         for relation in sorted(request.exclusive):
             self._held[relation] = _Held(LockMode.EXCLUSIVE, {request.query_name})
-        witness = active_witness()
-        if witness is not None:
-            # The whole set is granted or nothing is, so the witness sees
-            # one atomic grant: no hold-and-wait inside it, no ordering
-            # edges between its own members.
-            witness.record_grant(
-                request.query_name,
-                [
-                    (
-                        relation,
-                        f"try_acquire({request.query_name!r}) "
-                        f"{'X' if relation in request.exclusive else 'S'}-lock "
-                        f"{relation!r}",
-                    )
-                    for relation in sorted(request.relations)
-                ],
-            )
         self._owners[request.query_name] = request
         return True
 
@@ -153,15 +138,6 @@ class LockManager:
             shared=request.shared - {relation},
             exclusive=request.exclusive | {relation},
         )
-        witness = active_witness()
-        if witness is not None:
-            # The lock is already held, so no new edge can form; recording
-            # keeps the upgrade visible in the witness's acquisition trail.
-            witness.record(
-                query_name,
-                relation,
-                f"try_upgrade({query_name!r}) S->X {relation!r}",
-            )
         return True
 
     def release(self, query_name: str) -> None:
@@ -178,9 +154,6 @@ class LockManager:
             raise ConcurrencyError(
                 f"query {query_name!r} holds no locks (double release?)"
             )
-        witness = active_witness()
-        if witness is not None:
-            witness.release(query_name)
         for relation in sorted(request.relations):
             held = self._held.get(relation)
             if held is None or query_name not in held.holders:

@@ -38,10 +38,16 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.errors import PacketError
+from repro.errors import PacketError, SchemaError
 from repro.relational.schema import Attribute, DataType, Schema
 
 _U32 = struct.Struct("<I")
+#: The two leading uint32 fields of every packet: an id and Packet Length.
+_HEADER = struct.Struct("<II")
+#: Per-attribute type code and width in the "Tuple Length & Format" field.
+_ATTR = struct.Struct("<BH")
+_CODES = {DataType.INT: 0, DataType.FLOAT: 1, DataType.CHAR: 2}
+_KINDS = {code: dtype for dtype, code in _CODES.items()}
 _NAME_BYTES = 16
 #: Trailing CRC-32 word appended to every packet.
 CHECKSUM_BYTES = 4
@@ -88,39 +94,87 @@ def _pack_name(name: str) -> bytes:
     return raw.ljust(_NAME_BYTES, b"\x00")
 
 
-def _unpack_name(data: bytes, offset: int) -> Tuple[str, int]:
-    raw = data[offset : offset + _NAME_BYTES]
-    return raw.rstrip(b"\x00").decode("ascii"), offset + _NAME_BYTES
-
-
 def _pack_schema(schema: Schema) -> bytes:
     """Serialize the "Tuple Length & Format" field: arity, then per
     attribute a 1-byte type code, 2-byte width, and 16-byte name."""
     parts = [_pack_u32(schema.record_width), _pack_u32(schema.arity)]
-    codes = {DataType.INT: 0, DataType.FLOAT: 1, DataType.CHAR: 2}
     for attr in schema:
-        parts.append(struct.pack("<BH", codes[attr.dtype], attr.width))
+        parts.append(_ATTR.pack(_CODES[attr.dtype], attr.width))
         parts.append(_pack_name(attr.name))
     return b"".join(parts)
 
 
-def _unpack_schema(data: bytes, offset: int) -> Tuple[Schema, int]:
-    record_width = _U32.unpack_from(data, offset)[0]
-    arity = _U32.unpack_from(data, offset + 4)[0]
-    offset += 8
-    kinds = {0: DataType.INT, 1: DataType.FLOAT, 2: DataType.CHAR}
-    attrs = []
-    for _ in range(arity):
-        code, width = struct.unpack_from("<BH", data, offset)
-        offset += 3
-        name, offset = _unpack_name(data, offset)
-        attrs.append(Attribute(name, kinds[code], width))
-    schema = Schema(tuple(attrs))
-    if schema.record_width != record_width:
-        raise PacketError(
-            f"tuple format decodes to width {schema.record_width}, header says {record_width}"
-        )
-    return schema, offset
+class _Reader:
+    """Sequential decoder over one packet body (checksum word excluded).
+
+    Every malformed field raises :class:`PacketError`: a CRC-valid frame
+    can still be short, carry a non-ASCII name, an unknown type code or
+    a schema that does not validate, and none of those may escape as a
+    ``struct.error``, ``UnicodeDecodeError``, ``KeyError`` or
+    ``SchemaError``.
+    """
+
+    def __init__(self, data: bytes, what: str) -> None:
+        self.data = data
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise PacketError(f"{self.what} truncated")
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u32(self) -> int:
+        return _U32.unpack(self.take(4))[0]
+
+    def name(self) -> str:
+        try:
+            return self.take(_NAME_BYTES).rstrip(b"\x00").decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise PacketError(f"{self.what} name is not ASCII: {exc}") from None
+
+    def schema(self) -> Schema:
+        """Inverse of :func:`_pack_schema`."""
+        record_width = self.u32()
+        arity = self.u32()
+        attrs = []
+        try:
+            for _ in range(arity):
+                code, width = _ATTR.unpack(self.take(_ATTR.size))
+                kind = _KINDS.get(code)
+                if kind is None:
+                    raise PacketError(f"{self.what}: unknown attribute type code {code}")
+                attrs.append(Attribute(self.name(), kind, width))
+            schema = Schema(tuple(attrs))
+        except SchemaError as exc:
+            raise PacketError(f"{self.what}: invalid tuple format: {exc}") from None
+        if schema.record_width != record_width:
+            raise PacketError(
+                f"tuple format decodes to width {schema.record_width}, header says {record_width}"
+            )
+        return schema
+
+    def page(self) -> bytes:
+        """Page Length | Data Page."""
+        return self.take(self.u32())
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise PacketError(
+                f"{self.what} has {len(self.data) - self.pos} bytes past its last field"
+            )
+
+
+def _open(data: bytes, what: str) -> Tuple[int, _Reader]:
+    """Check the checksum and Packet Length; return the leading id field
+    and a reader over the body between the header and the checksum."""
+    _verify_checksum(data, what)
+    lead, length = _HEADER.unpack_from(data)
+    if length != len(data):
+        raise PacketError(f"packet length field {length} != actual {len(data)}")
+    return lead, _Reader(data[_HEADER.size : -CHECKSUM_BYTES], what)
 
 
 @dataclass
@@ -139,18 +193,6 @@ class SourceOperand:
             + _pack_u32(len(self.page_bytes))
             + self.page_bytes
         )
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int) -> Tuple["SourceOperand", int]:
-        """Inverse of :meth:`encode`; returns the operand and next offset."""
-        name, offset = _unpack_name(data, offset)
-        schema, offset = _unpack_schema(data, offset)
-        page_len = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        page = data[offset : offset + page_len]
-        if len(page) != page_len:
-            raise PacketError("source operand page truncated")
-        return cls(name, schema, page), offset + page_len
 
 
 @dataclass
@@ -201,29 +243,22 @@ class InstructionPacket:
     @classmethod
     def decode(cls, data: bytes) -> "InstructionPacket":
         """Inverse of :meth:`encode`."""
-        _verify_checksum(data, "instruction packet")
-        ip_id = _U32.unpack_from(data, 0)[0]
-        length = _U32.unpack_from(data, 4)[0]
-        if length != len(data):
-            raise PacketError(f"packet length field {length} != actual {len(data)}")
-        offset = 8
-        query_id = _U32.unpack_from(data, offset)[0]
-        sender = _U32.unpack_from(data, offset + 4)[0]
-        dest = _U32.unpack_from(data, offset + 8)[0]
-        flush = bool(_U32.unpack_from(data, offset + 12)[0])
-        opcode_num = _U32.unpack_from(data, offset + 16)[0]
-        tag = _U32.unpack_from(data, offset + 20)[0]
-        offset += 24
+        ip_id, body = _open(data, "instruction packet")
+        query_id = body.u32()
+        sender = body.u32()
+        dest = body.u32()
+        flush = bool(body.u32())
+        opcode_num = body.u32()
+        tag = body.u32()
         if opcode_num >= len(cls._OPCODES):
             raise PacketError(f"unknown opcode number {opcode_num}")
-        result_relation, offset = _unpack_name(data, offset)
-        result_schema, offset = _unpack_schema(data, offset)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        operands = []
-        for _ in range(count):
-            operand, offset = SourceOperand.decode(data, offset)
-            operands.append(operand)
+        result_relation = body.name()
+        result_schema = body.schema()
+        operands = [
+            SourceOperand(body.name(), body.schema(), body.page())
+            for _ in range(body.u32())
+        ]
+        body.end()
         return cls(
             ip_id=ip_id,
             query_id=query_id,
@@ -265,17 +300,10 @@ class ResultPacket:
     @classmethod
     def decode(cls, data: bytes) -> "ResultPacket":
         """Inverse of :meth:`encode`."""
-        _verify_checksum(data, "result packet")
-        ic_id = _U32.unpack_from(data, 0)[0]
-        length = _U32.unpack_from(data, 4)[0]
-        if length != len(data):
-            raise PacketError(f"packet length field {length} != actual {len(data)}")
-        name, offset = _unpack_name(data, 8)
-        page_len = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        page = data[offset : offset + page_len]
-        if len(page) != page_len:
-            raise PacketError("result packet page truncated")
+        ic_id, body = _open(data, "result packet")
+        name = body.name()
+        page = body.page()
+        body.end()
         return cls(ic_id=ic_id, relation_name=name, page_bytes=page)
 
     @property
@@ -367,14 +395,14 @@ class ControlPacket:
             raise PacketError(
                 f"control packet must be {CONTROL_PACKET_BYTES} bytes, got {len(data)}"
             )
-        _verify_checksum(data, "control packet")
-        ic_id = _U32.unpack_from(data, 0)[0]
-        length = _U32.unpack_from(data, 4)[0]
-        if length != len(data):
-            raise PacketError(f"packet length field {length} != actual {len(data)}")
-        sender = _U32.unpack_from(data, 8)[0]
-        message = ControlMessage(_U32.unpack_from(data, 12)[0])
-        argument = _U32.unpack_from(data, 16)[0]
+        ic_id, body = _open(data, "control packet")
+        sender = body.u32()
+        code = body.u32()
+        argument = body.u32()
+        try:
+            message = ControlMessage(code)
+        except ValueError:
+            raise PacketError(f"unknown control message {code}") from None
         return cls(ic_id=ic_id, sender_ip=sender, message=message, argument=argument)
 
     @property

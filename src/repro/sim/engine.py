@@ -177,8 +177,8 @@ class Simulator:
         """Run the sanitizer's end-of-run invariant checks (no-op when off).
 
         The owning machine calls this after the event loop drains; checks
-        include resource lease leaks, cache frame accounting, and ring
-        packet conservation.  Raises :class:`repro.errors.SanitizerError`
+        include cache frame accounting, ring packet conservation, and the
+        WAL's write-ahead invariants.  Raises :class:`repro.errors.SanitizerError`
         on any violation.
         """
         if self._sanitizer is not None:

@@ -3,8 +3,10 @@
 A :class:`Resource` models a device with ``capacity`` identical servers
 (disk arms, cache ports, a ring's insertion register, a pool of IPs).
 Callers submit *jobs* with a known service time; the resource runs up to
-``capacity`` jobs at once and queues the rest in FIFO order.  Utilization
-and queueing statistics are tracked for the experiment reports.
+``capacity`` jobs at once and queues the rest in FIFO order.  Every job
+carries its service time — there are no open-ended holds — so a job's
+end is fixed the moment it starts.  Utilization and queueing statistics
+are tracked for the experiment reports.
 
 Hot-path note: the simulator's observability probe is pre-bound at
 construction (it never flips after ``__init__``), so the per-job cost of
@@ -17,53 +19,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-
-
-class Lease:
-    """A manually held server slot, returned by :meth:`Resource.acquire`.
-
-    Release exactly once — directly or as a context manager::
-
-        with resource.acquire(label="compaction") as lease:
-            ...  # one server is held for the block
-
-    Under sanitize mode, leases still open when the run finalizes are
-    reported as acquire-without-release leaks.
-    """
-
-    __slots__ = ("resource", "label", "acquired_at", "released", "lease_id")
-
-    def __init__(
-        self, resource: "Resource", label: str, acquired_at: float, lease_id: int
-    ):
-        self.resource = resource
-        self.label = label
-        self.acquired_at = acquired_at
-        self.released = False
-        self.lease_id = lease_id
-
-    def release(self) -> None:
-        """Return the server to the pool (idempotence is an error)."""
-        if self.released:
-            raise SimulationError(
-                f"{self.resource.name}: lease {self.label!r} released twice"
-            )
-        self.released = True
-        self.resource._release_lease(self)
-
-    def __enter__(self) -> "Lease":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        state = "released" if self.released else f"held since {self.acquired_at}"
-        return f"Lease({self.resource.name!r}, {self.label!r}, {state})"
 
 
 @dataclass
@@ -141,14 +100,6 @@ class Resource:
         #: Jobs currently in service: job id -> (start time, service time).
         self._in_service: Dict[int, Tuple[float, float]] = {}
         self._job_ids = itertools.count()
-        #: Manually held servers (insertion-ordered so leak reports are
-        #: deterministic); see :meth:`acquire`.
-        self._open_leases: Dict[int, Lease] = {}
-        self._lease_ids = itertools.count()
-        if sim.sanitizer is not None:
-            sim.sanitizer.register_finish_check(
-                f"resource[{name}]", self._sanitize_finish
-            )
         # Pre-bound observability probe and queue-depth recorder (None
         # when nothing records them).  Observation only — no events.
         self._probe = sim.probe
@@ -159,19 +110,9 @@ class Resource:
     # -- state ----------------------------------------------------------------
 
     @property
-    def busy(self) -> int:
-        """Servers currently serving."""
-        return self._busy
-
-    @property
     def queued(self) -> int:
         """Jobs waiting for a server."""
         return len(self._queue)
-
-    @property
-    def idle(self) -> int:
-        """Free servers."""
-        return self.capacity - self._busy
 
     def in_flight_busy_ms(self) -> float:
         """Service time already elapsed on jobs still being served.
@@ -194,46 +135,6 @@ class Resource:
             return 0.0
         busy = self.stats.busy_time + self.in_flight_busy_ms()
         return min(1.0, busy / (elapsed_ms * self.capacity))
-
-    # -- manual holds ------------------------------------------------------------
-
-    def acquire(self, label: str = "") -> Lease:
-        """Hold one idle server until the returned lease is released.
-
-        Unlike :meth:`submit` (which models a known service time), a lease
-        is open-ended — the caller decides when the server comes back.
-        Callers must check :attr:`idle` first; acquiring with no idle
-        server raises (leases never queue, so they cannot deadlock the
-        FIFO jobs behind them).
-        """
-        if self._busy >= self.capacity:
-            raise SimulationError(
-                f"{self.name}: no idle server to acquire ({self._busy}/{self.capacity} busy)"
-            )
-        self._busy += 1
-        lease = Lease(self, label, self.sim.now, next(self._lease_ids))
-        self._open_leases[lease.lease_id] = lease
-        return lease
-
-    def _release_lease(self, lease: Lease) -> None:
-        self._open_leases.pop(lease.lease_id, None)
-        self._busy -= 1
-        held = self.sim.now - lease.acquired_at
-        self.stats.busy_time += held
-        self._dispatch()
-
-    @property
-    def open_leases(self) -> int:
-        """Manually held servers not yet released."""
-        return len(self._open_leases)
-
-    def _sanitize_finish(self) -> List[str]:
-        """End-of-run invariants for the sanitizer (leaked leases)."""
-        return [
-            f"lease {lease.label or lease.lease_id!r} acquired at "
-            f"t={lease.acquired_at:.3f} was never released"
-            for lease in self._open_leases.values()
-        ]
 
     # -- job submission ----------------------------------------------------------
 

@@ -1,8 +1,10 @@
-"""The ``repro check`` determinism linter: rules R001-R005."""
+"""The ``repro check`` determinism linter: framework, rules, and self-test."""
 
 import json
 
+from repro.check import rules
 from repro.check.lint import (
+    SEEDED_VIOLATIONS,
     iter_python_files,
     lint_paths,
     lint_source,
@@ -11,6 +13,7 @@ from repro.check.lint import (
     render_text,
     self_test,
 )
+from repro.check.rules.base import Rule
 
 SIM_PATH = "repro/sim/module.py"
 RING_PATH = "repro/ring/module.py"
@@ -83,6 +86,38 @@ def test_lint_paths_on_files(tmp_path):
 
 def test_self_test_all_rules_fire():
     assert self_test() == []
+
+
+def test_seeds_cover_exactly_the_registered_rules():
+    assert sorted(SEEDED_VIOLATIONS) == [rule.rule_id for rule in rules.ALL_RULES]
+
+
+def test_self_test_reports_a_registered_rule_without_a_seed(monkeypatch):
+    class Unseeded(Rule):
+        rule_id = "R999"
+
+        def check(self, tree):
+            return iter(())
+
+    monkeypatch.setattr(rules, "ALL_RULES", rules.ALL_RULES + [Unseeded()])
+    assert self_test() == ["R999: registered rule has no seeded violation"]
+
+
+def test_multi_id_allow_comment_suppresses_both_rules():
+    source = (
+        "import time, random\n"
+        "x = random.random() + time.time()  # repro: allow[R001,R002]\n"
+    )
+    assert rules_in(source) == []
+
+
+def test_two_allow_groups_on_one_line_are_both_honored():
+    source = (
+        "import time, random\n"
+        "x = random.random() + time.time()"
+        "  # repro: allow[R001]  # repro: allow[R002]\n"
+    )
+    assert rules_in(source) == []
 
 
 # ---------------------------------------------------------------------- R001
@@ -226,47 +261,43 @@ def test_r004_chained_comparisons():
     assert rules_in(source) == ["R004"]
 
 
-# ---------------------------------------------------------------------- R005
+# ---------------------------------------------------------------------- R008
 
 
-def test_r005_flags_unpaired_acquire():
-    assert rules_in("def f(r):\n    r.acquire(label='x')\n") == ["R005"]
+def test_r008_fires_on_mutable_default():
+    assert "R008" in rules_in("def f(pending=[]):\n    return pending\n")
+    assert "R008" in rules_in("def f(cache={}):\n    return cache\n")
+    assert "R008" in rules_in("def f(seen=set()):\n    return seen\n")
 
 
-def test_r005_context_manager_is_paired():
-    source = "def f(r):\n    with r.acquire(label='x'):\n        pass\n"
-    assert rules_in(source) == []
+def test_r008_silent_on_immutable_defaults():
+    assert "R008" not in rules_in("def f(x=None, y=(), z=0):\n    return x\n")
 
 
-def test_r005_lexical_release_is_paired():
-    source = (
-        "def f(r):\n"
-        "    lease = r.acquire(label='x')\n"
-        "    try:\n"
-        "        work()\n"
-        "    finally:\n"
-        "        lease.release()\n"
+# ---------------------------------------------------------------------- R009
+
+
+def test_r009_fires_outside_with():
+    assert "R009" in rules_in("def f():\n    ctx = sanitizing()\n    return ctx\n")
+
+
+def test_r009_allows_with_and_enter_context():
+    ok = (
+        "def f(stack):\n"
+        "    with sanitizing():\n"
+        "        pass\n"
+        "    stack.enter_context(injecting(None))\n"
     )
-    assert rules_in(source) == []
+    assert "R009" not in rules_in(ok)
 
 
-def test_r005_returned_lease_escapes_by_design():
-    assert rules_in("def f(r):\n    return r.acquire(label='x')\n") == []
+# ---------------------------------------------------------------------- R010
 
 
-def test_r005_nested_callback_is_its_own_scope():
-    # The release lives in a nested callback: pairing is strictly lexical,
-    # so this is a finding unless suppressed.
-    source = (
-        "def f(r, sim):\n"
-        "    lease = r.acquire(label='x')\n"
-        "    def later():\n"
-        "        lease.release()\n"
-        "    sim.schedule(1.0, later)\n"
-    )
-    assert rules_in(source) == ["R005"]
-    suppressed = source.replace(
-        "lease = r.acquire(label='x')",
-        "lease = r.acquire(label='x')  # repro: allow[R005]",
-    )
-    assert rules_in(suppressed) == []
+def test_r010_fires_without_sort_keys():
+    assert "R010" in rules_in("import json\ndef f(d):\n    return json.dumps(d)\n")
+
+
+def test_r010_allows_sorted_serialization():
+    source = "import json\ndef f(d):\n    return json.dumps(d, sort_keys=True)\n"
+    assert "R010" not in rules_in(source)

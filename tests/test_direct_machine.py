@@ -155,7 +155,7 @@ class TestValidationAndErrors:
 
     def test_delete_executes_on_direct(self, pair_schema):
         # Write packets used to be ring-only; DIRECT runs them now
-        # (serially — it has no lock manager; see DESIGN.md §14).
+        # (serially — it has no lock manager; see DESIGN.md §13).
         catalog = Catalog()
         catalog.register(
             Relation.from_rows("r", pair_schema, [(1, 1), (2, 2)], page_bytes=64)

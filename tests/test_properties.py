@@ -6,7 +6,7 @@ import zlib
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from repro.errors import RecoveryError, SchemaError
+from repro.errors import PacketError, RecoveryError, SchemaError
 from repro.recovery.wal import KIND_BEGIN, LogRecord, decode_stream, encode_record
 from repro.relational import operators
 from repro.relational.page import Page, pack_rows_into_pages
@@ -15,6 +15,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import DataType, Schema
 from repro.relational.sorting import is_sorted, sort_relation
 from repro.ring.packets import (
+    ControlPacket,
     InstructionPacket,
     ResultPacket,
     SourceOperand,
@@ -248,6 +249,69 @@ class TestWalDecoder:
         records, valid = decode_stream(data)
         assert records[: len(good)] == good
         assert valid == (len(data) if len(records) > len(good) else len(prefix))
+
+
+def seal_packet(body, lead=1):
+    """A ring packet with a correct Packet Length and CRC around any body."""
+    head = struct.pack("<II", lead, len(body) + 12) + body
+    return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
+
+
+def reseal(packet, offset=0, value=None, cut=None):
+    """``packet``'s body with one byte set and/or cut short, sealed again."""
+    body = bytearray(packet[8:-4])
+    if value is not None and body:
+        body[offset % len(body)] = value
+    return seal_packet(bytes(body[:cut]))
+
+
+def assert_decodes_or_packet_error(data):
+    """Every ring decoder's contract: a packet, or PacketError."""
+    for decode in (InstructionPacket.decode, ResultPacket.decode, ControlPacket.decode):
+        try:
+            decode(data)
+        except PacketError:
+            pass
+
+
+VALID_INSTRUCTION = InstructionPacket(
+    ip_id=3,
+    query_id=7,
+    sender_ic=1,
+    destination_ic=2,
+    flush_when_done=True,
+    opcode="join",
+    result_relation="out",
+    result_schema=TEXT,
+    operands=[SourceOperand("s", PAIR, Page(PAIR, 64).to_bytes())],
+).encode()
+#: Byte offset of the result schema's first type code inside the body.
+FIRST_TYPE_CODE = 24 + 16 + 8
+
+
+class TestPacketDecoders:
+    @settings(max_examples=300)
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        assert_decodes_or_packet_error(data)
+
+    @settings(max_examples=300)
+    @given(body=st.binary(max_size=120), lead=st.integers(0, 2**32 - 1))
+    @example(body=b"\xff" * 16 + b"\x00" * 4, lead=1)
+    @example(body=struct.pack("<III", 7, 999, 0), lead=1)
+    def test_sealed_frames_with_arbitrary_bodies(self, body, lead):
+        assert_decodes_or_packet_error(seal_packet(body, lead))
+
+    @settings(max_examples=300)
+    @given(
+        offset=st.integers(0, len(VALID_INSTRUCTION)),
+        value=st.none() | st.integers(0, 255),
+        cut=st.none() | st.integers(0, len(VALID_INSTRUCTION)),
+    )
+    @example(offset=0, value=None, cut=30)
+    @example(offset=FIRST_TYPE_CODE, value=9, cut=None)
+    def test_resealed_mutations_of_a_valid_instruction(self, offset, value, cut):
+        assert_decodes_or_packet_error(reseal(VALID_INSTRUCTION, offset, value, cut))
 
 
 class TestWorkloadHelpers:

@@ -163,13 +163,12 @@ class TestSchemaField:
         assert schema_field_bytes(SCHEMA) == len(_pack_schema(SCHEMA))
 
     def test_corrupt_schema_width_rejected(self):
-        from repro.ring.packets import _pack_schema
+        from repro.ring.packets import _pack_schema, _Reader
 
         import struct
 
         raw = bytearray(_pack_schema(SCHEMA))
         struct.pack_into("<I", raw, 0, 999)
-        from repro.ring.packets import _unpack_schema
 
         with pytest.raises(PacketError):
-            _unpack_schema(bytes(raw), 0)
+            _Reader(bytes(raw), "schema").schema()

@@ -6,6 +6,8 @@ sanitizer changes *nothing* about a clean run's results and costs nothing
 when off.
 """
 
+import json
+
 import pytest
 
 from repro import hw
@@ -138,63 +140,6 @@ def test_cancelled_events_leave_the_tie_window():
     sim.finalize_sanitizer()
 
 
-# ---------------------------------------------------------------------- leases
-
-
-def test_leaked_lease_reported_at_finish():
-    sim = sanitized_sim()
-    resource = Resource(sim, "disk", capacity=2)
-    resource.acquire(label="held-forever")  # repro: allow[R005]
-    sim.run()
-    with pytest.raises(SanitizerError, match="held-forever"):
-        sim.finalize_sanitizer()
-
-
-def test_released_lease_is_clean():
-    sim = sanitized_sim()
-    resource = Resource(sim, "disk", capacity=1)
-    lease = resource.acquire(label="work")
-    lease.release()
-    sim.run()
-    sim.finalize_sanitizer()
-
-
-def test_context_manager_lease():
-    sim = sanitized_sim()
-    resource = Resource(sim, "disk", capacity=1)
-    with resource.acquire(label="work"):
-        assert resource.open_leases == 1
-    assert resource.open_leases == 0
-    sim.run()
-    sim.finalize_sanitizer()
-
-
-def test_double_release_is_an_error():
-    sim = sanitized_sim()
-    lease = Resource(sim, "disk", capacity=1).acquire(label="w")
-    lease.release()
-    with pytest.raises(SimulationError, match="released twice"):
-        lease.release()
-
-
-def test_acquire_beyond_capacity_is_an_error():
-    sim = sanitized_sim()
-    resource = Resource(sim, "disk", capacity=1)
-    resource.acquire(label="a")  # repro: allow[R005]
-    with pytest.raises(SimulationError, match="no idle server"):
-        resource.acquire(label="b")  # repro: allow[R005]
-
-
-def test_lease_accounting_feeds_busy_time():
-    sim = sanitized_sim()
-    resource = Resource(sim, "disk", capacity=1)
-    lease = resource.acquire(label="w")
-    sim.schedule(3.0, lease.release, label="release")
-    sim.run()
-    assert resource.stats.busy_time == pytest.approx(3.0)
-    sim.finalize_sanitizer()
-
-
 # ---------------------------------------------------------------------- disk cache
 
 
@@ -285,6 +230,24 @@ def test_sanitized_run_matches_unsanitized_results():
     with sanitizing():
         checked = figure_3_1.run(processors=(2,), scale=0.05, selectivity=0.3)
     assert checked.rows == plain.rows
+
+
+def test_sanitized_serving_run_is_byte_identical_to_unsanitized():
+    from repro.serve import ServeConfig
+    from repro.serve.service import serve
+
+    config = ServeConfig(
+        machine="ring",
+        rate_qps=20.0,
+        duration_ms=400.0,
+        scale=0.02,
+        b_domain=25,
+        processors=2,
+    )
+    plain = json.dumps(serve(config), sort_keys=True)
+    with sanitizing():
+        sanitized = json.dumps(serve(config), sort_keys=True)
+    assert sanitized == plain
 
 
 def test_sanitizer_counts_audited_events():

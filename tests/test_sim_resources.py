@@ -53,11 +53,11 @@ def test_busy_and_queued_counters():
     res = Resource(sim, "r", capacity=1)
     res.submit(5.0)
     res.submit(5.0)
-    assert res.busy == 1
     assert res.queued == 1
-    assert res.idle == 0
+    assert "1/1 busy, 1 queued" in repr(res)
     sim.run()
-    assert res.busy == 0
+    assert res.queued == 0
+    assert "0/1 busy, 0 queued" in repr(res)
 
 
 def test_stats_jobs_and_busy_time():
