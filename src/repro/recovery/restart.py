@@ -5,14 +5,19 @@ crash left it and returns it to a clean, fully-committed state:
 
 1. **Analysis** scans the CRC-valid log prefix from the last complete
    checkpoint, rebuilding the active-transaction table (winners have a
-   COMMIT, finished losers an ABORT, crash losers neither).
-2. **Redo** repeats history: every UPDATE/CLR image is re-applied in
-   LSN order.  Full images make redo idempotent without page-LSN
-   comparisons, and because a page is only ever flushed after its log
-   records were forced (the WAL rule), replaying the whole valid log
-   always converges to a state at least as new as any flushed page —
-   including *torn* pages, which are simply overwritten by their last
-   logged image.
+   COMMIT, finished losers an ABORT, crash losers neither).  The
+   committed list is the store's commit index (every commit at or
+   below the last checkpoint) followed by the COMMITs the log holds
+   after it.
+2. **Redo** repeats history: every UPDATE/CLR image in the retained log
+   is re-applied in LSN order.  Full images make redo idempotent
+   without page-LSN comparisons.  The retained log starts at or below
+   the last checkpoint's redo point, so it holds the last image of
+   every page that was dirty at the crash, and because a page is only
+   ever flushed after its log records were forced (the WAL rule),
+   replaying it always converges to a state at least as new as any
+   flushed page — including *torn* pages, which are simply overwritten
+   by their last logged image.
 3. **Undo** rolls back crash losers in descending-LSN order across all
    of them (one merged pass, as ARIES does), writing CLRs and closing
    each with an ABORT record, so a crash *during* recovery would not
@@ -20,7 +25,8 @@ crash left it and returns it to a clean, fully-committed state:
 
 Afterwards every buffered image is flushed and a final empty checkpoint
 is forced, leaving the store byte-deterministic: equal histories yield
-equal ``committed_bytes()``.
+equal ``committed_bytes()``, and a second restart reports the same
+commits.
 """
 
 from __future__ import annotations
@@ -89,11 +95,12 @@ class _Loser:
 
 def recover(store: StableStore) -> RecoveryReport:
     """Run analysis / redo / undo over ``store`` in place."""
-    records, valid_bytes = decode_stream(store.log)
+    log = store.log
+    records, valid_bytes = decode_stream(log)
     report = RecoveryReport(
         records_scanned=len(records),
         valid_log_bytes=valid_bytes,
-        torn_tail_bytes=len(store.log) - valid_bytes,
+        torn_tail_bytes=len(log) - valid_bytes,
     )
     # A corrupt tail is detected damage, not data: truncate the durable
     # log to the valid prefix so post-recovery appends form a clean log.
@@ -138,21 +145,12 @@ def recover(store: StableStore) -> RecoveryReport:
             else:
                 loser.last_lsn = record.lsn
         elif record.kind == KIND_COMMIT:
-            entry = att.pop(record.txn_id, None)
-            name = entry.name if entry else names.get(record.txn_id)
-            report.committed.append(name or f"txn{record.txn_id}")
+            att.pop(record.txn_id, None)
         elif record.kind == KIND_ABORT:
             entry = att.pop(record.txn_id, None)
             name = entry.name if entry else names.get(record.txn_id)
             report.aborted.append(name or f"txn{record.txn_id}")
-    # Commits that predate the analysis window (before the checkpoint)
-    # are already durable in full; report them too, in log order.
-    pre_committed = [
-        names.get(r.txn_id, f"txn{r.txn_id}")
-        for r in records
-        if r.kind == KIND_COMMIT and r.lsn <= start_lsn
-    ]
-    report.committed = pre_committed + report.committed
+    report.committed = store.committed(records)
     report.losers = sorted(loser.name for loser in att.values())
 
     # ---- redo --------------------------------------------------------------

@@ -3,13 +3,17 @@
 A :class:`StableStore` is what survives a ``machine_crash`` fault — the
 simulated disk.  It holds per-relation page images keyed by page number,
 a per-page checksum written *with* the page (the sector-checksum model:
-a torn write leaves bytes that no longer match their own checksum), and
-the durable prefix of the write-ahead log.
+a torn write leaves bytes that no longer match their own checksum), the
+durable suffix of the write-ahead log, and a commit index.
 
 The log is kept as the list of forced frames, appended as they arrive
-and joined only when someone reads :attr:`StableStore.log`: a growing
-run never copies the whole log to extend it.  It is never truncated
-except by restart, which cuts a torn tail off.
+and joined only when someone reads :attr:`StableStore.log`.  Each
+checkpoint drops the frames wholly below its redo point
+(:meth:`StableStore.checkpoint_log`), so the log holds what restart can
+still need, not the run's history.  The names of the commits at or
+below the last checkpoint move into :attr:`StableStore.commit_index`,
+which restart reports ahead of the commits it finds in the log.
+Restart also cuts a torn tail off (:meth:`StableStore.truncate_log`).
 
 Everything else — buffer pool, active-transaction table, dirty page
 table, the unforced log tail — lives in the
@@ -20,9 +24,10 @@ at a crash.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import RecoveryError
+from repro.recovery.wal import KIND_BEGIN, KIND_COMMIT, NO_LSN, LogRecord, first_lsn
 
 __all__ = ["StableStore", "page_crc"]
 
@@ -33,7 +38,7 @@ def page_crc(data: bytes) -> int:
 
 
 class StableStore:
-    """Durable page images + durable log prefix."""
+    """Durable page images + durable log suffix + commit index."""
 
     def __init__(self) -> None:
         #: relation -> {page_number: image bytes}; absent key = absent page.
@@ -41,7 +46,13 @@ class StableStore:
         #: relation -> {page_number: checksum the writer intended}.
         self.checksums: Dict[str, Dict[int, int]] = {}
         #: Forced log frames in force order; :attr:`log` joins them.
-        self._log: List[bytes] = []
+        self._frames: List[bytes] = []
+        #: The LSN each frame opens with (``NO_LSN`` for debris).
+        self._frame_lsns: List[int] = []
+        #: Names of the commits at or below LSN :attr:`index_lsn`, in
+        #: commit order; the log holds only the commits after it.
+        self.commit_index: List[str] = []
+        self.index_lsn = NO_LSN
         self.page_writes = 0
         self.log_forces = 0
 
@@ -133,21 +144,59 @@ class StableStore:
 
     @property
     def log(self) -> bytes:
-        """The durable log, read-only.
-
-        The frames are joined on read and the joined bytes replace them,
-        so a second read with no force in between copies nothing.
-        """
-        if len(self._log) > 1:
-            self._log = [b"".join(self._log)]
-        return self._log[0] if self._log else b""
+        """The durable log, read-only: the retained frames, joined."""
+        return b"".join(self._frames)
 
     def append_log(self, data: bytes) -> None:
-        """Force ``data`` onto the durable log."""
-        self._log.append(bytes(data))
+        """Force ``data`` onto the durable log as one frame."""
+        frame = bytes(data)
+        self._frames.append(frame)
+        self._frame_lsns.append(first_lsn(frame))
         self.log_forces += 1
 
     def truncate_log(self, size: int) -> None:
         """Cut the durable log back to its first ``size`` bytes."""
-        log = self.log
-        self._log = [log[:size]] if size else []
+        kept: List[bytes] = []
+        for frame in self._frames:
+            if size <= 0:
+                break
+            kept.append(frame[:size])
+            size -= len(frame)
+        self._frames = kept
+        self._frame_lsns = [first_lsn(frame) for frame in kept]
+
+    def committed(self, records: Sequence[LogRecord]) -> List[str]:
+        """Every durable commit in commit order: the commit index, then
+        the COMMITs after it in ``records``, the decoded :attr:`log`.
+
+        A transaction that commits after the index was last extended
+        was open at that checkpoint or began after it, so the log still
+        holds the BEGIN that names it.
+        """
+        names = {r.txn_id: r.name for r in records if r.kind == KIND_BEGIN}
+        return self.commit_index + [
+            names.get(r.txn_id, f"txn{r.txn_id}")
+            for r in records
+            if r.kind == KIND_COMMIT and r.lsn > self.index_lsn
+        ]
+
+    def checkpoint_log(
+        self, redo_lsn: int, commits: Sequence[str], index_lsn: int
+    ) -> None:
+        """Index ``commits`` and drop the log frames below ``redo_lsn``.
+
+        ``commits`` are the names of the commits after the old
+        :attr:`index_lsn` and at or below ``index_lsn`` (the checkpoint's
+        own LSN), in commit order.  A frame is dropped whole when the
+        next one opens at or below ``redo_lsn``, so every record it
+        holds is below the redo point; the frame holding the redo point
+        and everything after it stay.
+        """
+        self.commit_index.extend(commits)
+        self.index_lsn = index_lsn
+        lsns = self._frame_lsns
+        drop = 0
+        while drop + 1 < len(lsns) and NO_LSN < lsns[drop + 1] <= redo_lsn:
+            drop += 1
+        del self._frames[:drop]
+        del lsns[:drop]

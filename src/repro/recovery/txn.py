@@ -27,7 +27,9 @@ Design choices worth naming:
   logged, so committed bytes are machine-independent.
 * **Checkpoints every few commits** keep the analysis scan short and
   the dirty page table honest without a clock (simulated time is the
-  machine's business, not the log's).
+  machine's business, not the log's).  Each one also bounds the durable
+  log: it computes the redo point (the lowest LSN restart could still
+  read) and has the store drop every forced frame below it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.recovery.wal import (
     KIND_UPDATE,
     NO_LSN,
     LogRecord,
+    decode_stream,
     encode_record,
 )
 from repro.relational.page import page_capacity, pack_rows_into_pages
@@ -134,6 +137,11 @@ class TransactionManager:
         #: Acknowledged commits, in commit order (the durability contract:
         #: every name here must survive any subsequent crash).
         self.committed_names: List[str] = []
+        #: Commits since the last checkpoint: the next checkpoint moves
+        #: them into the store's commit index.
+        self._unindexed: List[str] = []
+        #: The last checkpoint's redo point (``None`` before the first).
+        self._redo_lsn: Optional[int] = None
         self.aborted_names: List[str] = []
         self.commits = 0
         self.aborts = 0
@@ -297,6 +305,7 @@ class TransactionManager:
         self.force()
         del self.active[txn.txn_id]
         self.committed_names.append(txn.name)
+        self._unindexed.append(txn.name)
         self.commits += 1
         if self.commits % self.checkpoint_every == 0:
             self.checkpoint()
@@ -378,7 +387,15 @@ class TransactionManager:
         self.dirty.pop(key, None)
 
     def checkpoint(self) -> LogRecord:
-        """Fuzzy checkpoint: flush the older half of the DPT, log ATT+DPT."""
+        """Fuzzy checkpoint: flush the older half of the DPT, log ATT+DPT.
+
+        Once the record is forced, the log below the redo point can go:
+        the redo point is the lowest of the checkpoint's LSN, every
+        recLSN in the DPT (redo starts there) and every active
+        transaction's first LSN (its undo chain ends there).  The
+        commits since the last checkpoint move into the store's commit
+        index in the same step, so restart still reports them.
+        """
         self._guard()
         by_age = sorted(self.dirty, key=lambda k: (self.dirty[k], k))
         for key in by_age[: len(by_age) // 2]:
@@ -392,6 +409,13 @@ class TransactionManager:
                       att=att, dpt=dict(self.dirty))
         )
         self.force()
+        self._redo_lsn = min([
+            record.lsn,
+            *self.dirty.values(),
+            *(txn.first_lsn for txn in self.active.values()),
+        ])
+        self.store.checkpoint_log(self._redo_lsn, self._unindexed, record.lsn)
+        self._unindexed = []
         self.checkpoints += 1
         return record
 
@@ -467,7 +491,12 @@ class TransactionManager:
         * dirty-page leaks: a clean end of run must have flushed every
           buffered page (``shutdown`` does);
         * transactions still active after the machine drained;
-        * an unforced log tail (acknowledgements would be lies).
+        * an unforced log tail (acknowledgements would be lies);
+        * a durable log that starts above the last checkpoint's redo
+          point (restart would miss redo or undo work);
+        * a durable commit list — the store's commit index, then the
+          COMMITs the log holds after it — that differs from the
+          acknowledged commits in content or order.
         """
         if self.crashed:
             return []
@@ -485,5 +514,21 @@ class TransactionManager:
         if self._tail:
             violations.append(
                 f"unforced WAL tail of {len(self._tail)} bytes at end of run"
+            )
+        records, _ = decode_stream(self.store.log)
+        if self._redo_lsn is not None and (
+            not records or records[0].lsn > self._redo_lsn
+        ):
+            start = records[0].lsn if records else "nothing"
+            violations.append(
+                f"durable log starts at {start}, above the last "
+                f"checkpoint's redo point {self._redo_lsn}"
+            )
+        durable = self.store.committed(records)
+        if durable != self.committed_names:
+            violations.append(
+                f"durable commits ({len(durable)}) differ from the "
+                f"acknowledged commits ({len(self.committed_names)}) in "
+                f"content or order"
             )
         return violations

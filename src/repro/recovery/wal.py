@@ -42,6 +42,7 @@ __all__ = [
     "NO_LSN",
     "decode_stream",
     "encode_record",
+    "first_lsn",
 ]
 
 #: Record kinds, one byte each.
@@ -168,13 +169,17 @@ def encode_record(record: LogRecord) -> bytes:
 
 
 class _Reader:
-    """Sequential decoder over one payload."""
+    """Sequential decoder over one payload, a view into the log.
 
-    def __init__(self, data: bytes) -> None:
+    Slices are views too; only strings and page images are
+    materialized, each exactly once.
+    """
+
+    def __init__(self, data: memoryview) -> None:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise RecoveryError("WAL payload underrun")
         chunk = self.data[self.pos : self.pos + n]
@@ -192,19 +197,19 @@ class _Reader:
 
     def string(self) -> str:
         try:
-            return self.take(self.u16()).decode("utf-8")
+            return str(self.take(self.u16()), "utf-8")
         except UnicodeDecodeError as exc:
             raise RecoveryError(f"WAL string is not UTF-8: {exc}") from None
 
     def blob(self) -> bytes:
-        return self.take(self.u32())
+        return bytes(self.take(self.u32()))
 
     def done(self) -> bool:
         return self.pos == len(self.data)
 
 
 def _decode_payload(
-    kind: int, lsn: int, txn_id: int, prev_lsn: int, payload: bytes
+    kind: int, lsn: int, txn_id: int, prev_lsn: int, payload: memoryview
 ) -> LogRecord:
     reader = _Reader(payload)
     if kind == KIND_BEGIN:
@@ -254,6 +259,18 @@ def _decode_payload(
     return record
 
 
+def first_lsn(frame: bytes) -> int:
+    """The LSN in the header that opens ``frame``; ``NO_LSN`` if none does.
+
+    Only the header is read: a forced frame is a run of whole records,
+    so this is the lowest LSN it holds.
+    """
+    if len(frame) < _HEADER.size:
+        return NO_LSN
+    magic, _kind, pad, lsn, _txn, _prev, _len = _HEADER.unpack_from(frame)
+    return lsn if magic == _MAGIC and pad == 0 else NO_LSN
+
+
 def decode_stream(data: bytes) -> Tuple[List[LogRecord], int]:
     """Decode the longest valid prefix of ``data``.
 
@@ -264,26 +281,30 @@ def decode_stream(data: bytes) -> Tuple[List[LogRecord], int]:
     semantics, not data loss.  Non-monotone LSNs inside the valid prefix
     raise :class:`~repro.errors.RecoveryError`: that is log corruption a
     crash cannot legally produce.
+
+    The scan reads ``data`` through one ``memoryview``, so each name and
+    page image is copied once, into its record.
     """
     records: List[LogRecord] = []
     offset = 0
     previous_lsn = 0
-    total = len(data)
+    view = memoryview(data)
+    total = len(view)
     while True:
         if offset + _HEADER.size + _CRC.size > total:
             break
-        header = data[offset : offset + _HEADER.size]
-        magic, kind, pad, lsn, txn_id, prev_lsn, payload_len = _HEADER.unpack(header)
+        magic, kind, pad, lsn, txn_id, prev_lsn, payload_len = _HEADER.unpack_from(
+            view, offset
+        )
         if magic != _MAGIC or pad != 0:
             break
         end = offset + _HEADER.size + payload_len + _CRC.size
         if end > total:
             break
-        body = data[offset : end - _CRC.size]
-        (crc,) = _CRC.unpack(data[end - _CRC.size : end])
-        if crc != (zlib.crc32(body) & 0xFFFFFFFF):
+        (crc,) = _CRC.unpack_from(view, end - _CRC.size)
+        if crc != (zlib.crc32(view[offset : end - _CRC.size]) & 0xFFFFFFFF):
             break
-        payload = data[offset + _HEADER.size : end - _CRC.size]
+        payload = view[offset + _HEADER.size : end - _CRC.size]
         try:
             record = _decode_payload(kind, lsn, txn_id, prev_lsn, payload)
         except RecoveryError:

@@ -8,13 +8,14 @@ machines, the E17 sweep, and the R011 lint rule that keeps machine code
 from mutating pages outside a logged transaction.
 """
 
+import os
 import struct
 import tracemalloc
 import zlib
 
 import pytest
 
-from repro.errors import RecoveryError, SanitizerError
+from repro.errors import CrashError, RecoveryError, SanitizerError
 from repro.recovery import (
     KIND_ABORT,
     KIND_BEGIN,
@@ -30,6 +31,7 @@ from repro.recovery import (
     encode_record,
     recover,
 )
+from repro.recovery import harness
 from repro.recovery.harness import run_crash_trial
 from repro.sim.engine import Simulator
 
@@ -230,11 +232,14 @@ class TestTransactionManager:
 
     def test_memory_tracks_live_state_not_history(self, pair_schema):
         # Every transaction rewrites the same 8 pages, so live state is
-        # the same after 20 transactions as after 80; only the durable
-        # log (subtracted) and the list of committed names may grow.
-        # A finished transaction's records and page images must go.
+        # the same after 20 transactions as after 80; only the lists of
+        # committed names may grow.  A finished transaction's records
+        # and page images must go, and so must the durable log below
+        # each checkpoint's redo point.  Only what the recovery package
+        # allocates is counted, so other tests' leftovers cannot move it.
         page_bytes = 256
         rows = [(i, 0) for i in range(120)]
+        here = tracemalloc.Filter(True, os.path.join("*", "repro", "recovery", "*"))
 
         def live_bytes(n):
             tracemalloc.start()
@@ -249,11 +254,10 @@ class TestTransactionManager:
                     tm.abort(txn)
                 else:
                     tm.commit(txn, canonical_pages(pair_schema, new_rows, page_bytes))
-            log_bytes = len(store.log)
-            current, _ = tracemalloc.get_traced_memory()
+            snapshot = tracemalloc.take_snapshot().filter_traces([here])
             tracemalloc.stop()
             assert tm.aborts == n // 10 and tm.commits == n - n // 10
-            return current - log_bytes
+            return sum(stat.size for stat in snapshot.statistics("filename"))
 
         growth = live_bytes(80) - live_bytes(20)
         assert growth < 16 * 1024, growth
@@ -302,6 +306,38 @@ class TestWalSanitizer:
         tm.stage_rows(txn, [(100, 0), (101, 0), (102, 0)])
         tm.crash(None)
         assert tm.sanitize_violations() == []
+
+    def test_log_cut_above_the_redo_point_reported(self, pair_schema):
+        rows = base_rows()
+        store = seeded_store(pair_schema, rows)
+        tm = TransactionManager(store, PAGE_BYTES, checkpoint_every=1)
+        txn = tm.begin("w1", "r", pair_schema)
+        tm.commit(txn, canonical_pages(pair_schema, rows + [(50, 5)], PAGE_BYTES))
+        # The page w1 left dirty holds the redo point below the
+        # checkpoint; dropping every frame before the checkpoint's own
+        # loses the start of redo.
+        assert min(tm.dirty.values()) < store.index_lsn
+        store.checkpoint_log(store.index_lsn, [], store.index_lsn)
+        assert any("redo point" in v for v in tm.sanitize_violations())
+
+    @pytest.mark.parametrize("tamper", ["reorder", "lose", "invent"])
+    def test_commit_index_disagreeing_with_acks_reported(self, pair_schema, tamper):
+        rows = base_rows()
+        store = seeded_store(pair_schema, rows)
+        tm = TransactionManager(store, PAGE_BYTES, checkpoint_every=2)
+        for i in range(3):
+            txn = tm.begin(f"w{i}", "r", pair_schema)
+            tm.commit(txn, canonical_pages(pair_schema, rows + [(50 + i, i)], PAGE_BYTES))
+        tm.shutdown()
+        assert store.commit_index == ["w0", "w1", "w2"]
+        assert tm.sanitize_violations() == []
+        if tamper == "reorder":
+            store.commit_index.reverse()
+        elif tamper == "lose":
+            store.commit_index.pop(0)
+        else:
+            store.commit_index.append("w9")
+        assert any("durable commits" in v for v in tm.sanitize_violations())
 
     def test_registered_check_raises_through_simulator(self, pair_schema):
         sim = Simulator(sanitize=True)
@@ -416,6 +452,95 @@ class TestRestart:
         assert store.committed_bytes() == once
 
 
+class TestLogCut:
+    """Checkpoints drop the log below their redo point; restart still works."""
+
+    def commit_r(self, tm, schema, rows, i):
+        # Rewrites every page of r, so each checkpoint's half-flush
+        # leaves the older page behind and the redo point moves on.
+        txn = tm.begin(f"w{i}", "r", schema)
+        tm.commit(txn, canonical_pages(schema, self.rows_at(rows, i), PAGE_BYTES))
+
+    def rows_at(self, rows, i):
+        return [(k, i) for k, _ in rows]
+
+    def test_checkpoints_drop_the_log_below_the_redo_point(self, pair_schema):
+        rows = base_rows()
+        store = seeded_store(pair_schema, rows)
+        tm = TransactionManager(store, PAGE_BYTES, checkpoint_every=1)
+        for i in range(6):
+            self.commit_r(tm, pair_schema, rows, i)
+        records, valid = decode_stream(store.log)
+        assert valid == len(store.log)
+        assert records[0].lsn > 1
+        assert records[0].lsn <= min(tm.dirty.values())
+        assert store.commit_index == [f"w{i}" for i in range(6)]
+        assert store.index_lsn == records[-1].lsn
+        assert records[-1].kind == KIND_CHECKPOINT
+
+    def test_open_transaction_pins_the_cut_and_is_undone(self, pair_schema):
+        rows = base_rows()
+        store = seeded_store(pair_schema, rows)
+        store.seed_relation("s", canonical_pages(pair_schema, rows, PAGE_BYTES))
+        tm = TransactionManager(store, PAGE_BYTES, checkpoint_every=1)
+        self.commit_r(tm, pair_schema, rows, 0)
+        loser = tm.begin("loser", "s", pair_schema)
+        tm.stage_rows(loser, [(200 + k, 0) for k in range(6)])  # 2 pages of s
+        for i in range(1, 6):
+            self.commit_r(tm, pair_schema, rows, i)
+        assert tm.checkpoints == 6
+        # Five checkpoints ran while the loser was open: each would have
+        # cut past its BEGIN, but the loser's first LSN held the cut.
+        assert min(tm.dirty.values()) > loser.first_lsn
+        records, _ = decode_stream(store.log)
+        assert records[0].lsn == loser.first_lsn
+        tm.crash(None)
+        report = recover(store)
+        assert report.losers == ["loser"]
+        assert report.undo_applied == 2
+        assert report.committed == [f"w{i}" for i in range(6)]
+        expected = seeded_store(pair_schema, self.rows_at(rows, 5))
+        expected.seed_relation("s", canonical_pages(pair_schema, rows, PAGE_BYTES))
+        assert store.committed_bytes() == expected.committed_bytes()
+
+    def test_second_restart_reports_the_same_commits(self, pair_schema):
+        rows = base_rows()
+        store = seeded_store(pair_schema, rows)
+        tm = TransactionManager(store, PAGE_BYTES, checkpoint_every=1)
+        for i in range(5):
+            self.commit_r(tm, pair_schema, rows, i)
+        loser = tm.begin("loser", "r", pair_schema)
+        tm.stage_rows(loser, [(300 + k, 0) for k in range(3)])
+        tm.force()
+        assert decode_stream(store.log)[0][0].lsn > 1
+        tm.crash(None)
+        first = recover(store)
+        once = store.committed_bytes()
+        second = recover(store)
+        assert first.committed == second.committed == tm.committed_names
+        assert store.committed_bytes() == once
+        assert second.losers == [] and second.undo_applied == 0
+
+
+class _CrashAfterCut(TransactionManager):
+    """Cuts the power at the first page write after a checkpoint has
+    dropped log frames, so the unforced tail is never empty."""
+
+    cut = False
+
+    def checkpoint(self):
+        record = super().checkpoint()
+        records, _ = decode_stream(self.store.log)
+        self.cut = self.cut or records[0].lsn > 1
+        return record
+
+    def log_page_update(self, txn, relation, page_number, after):
+        record = super().log_page_update(txn, relation, page_number, after)
+        if self.cut:
+            raise CrashError("power cut after a log-cutting checkpoint")
+        return record
+
+
 # ---------------------------------------------------------------- crash trials
 
 
@@ -429,6 +554,20 @@ class TestCrashTrials:
         assert trial.byte_identical
         assert trial.acknowledged_durable
         assert trial.ok
+
+    @pytest.mark.parametrize("machine", ["ring", "direct", "dataflow"])
+    def test_crash_after_a_log_cut_recovers_to_the_oracle(self, machine, monkeypatch):
+        monkeypatch.setattr(harness, "TransactionManager", _CrashAfterCut)
+        trial = run_crash_trial(
+            machine=machine, seed=3, write_fraction=1.0, crash_rate=0.0,
+            torn_page_rate=1.0, log_tail_rate=1.0, checkpoint_every=1,
+            queries=12,
+        )
+        assert trial.crashed and trial.committed
+        assert trial.damaged_repaired  # torn pages struck and were repaired
+        assert trial.recovery["torn_tail_bytes"] > 0
+        assert trial.byte_identical
+        assert trial.acknowledged_durable
 
     def test_no_crash_control_cell(self):
         trial = run_crash_trial(
