@@ -39,11 +39,6 @@ class GranularityTraffic:
     packets: int
     bytes_total: int
 
-    @property
-    def bytes_per_pair(self) -> float:
-        """Bytes through the arbitration network per (outer, inner) tuple pair."""
-        return self.bytes_total
-
 
 def join_traffic_tuple_level(
     n_outer: int,

@@ -12,86 +12,29 @@ experiments whose reports carry ``events_processed``.
 Exposed through ``repro check --tracing-identity`` and exercised (on a
 subset) by the test suite.
 
-Configurations are the experiments' quick grids — small enough for CI,
-large enough to cross every protocol path (joins, broadcasts, failover,
-admission, crash recovery).
+Configurations are the quick kwargs of the :data:`repro.experiments.EXPERIMENTS`
+rows — small enough for CI, large enough to cross every protocol path
+(joins, broadcasts, failover, admission, crash recovery).
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import CheckError
-
-#: experiment name -> (module, quick kwargs).  Names match ``repro run``.
-QUICK_CONFIGS: Dict[str, Tuple[str, Dict]] = {
-    "figure_3_1": (
-        "repro.experiments.figure_3_1",
-        dict(processors=(2, 4), scale=0.05, selectivity=0.3),
-    ),
-    "section_3_3": ("repro.experiments.section_3_3", {}),
-    "figure_4_2": (
-        "repro.experiments.figure_4_2",
-        dict(ips=(2, 4), scale=0.05, selectivity=0.3, controllers=12),
-    ),
-    "packets": ("repro.experiments.packets_demo", {}),
-    "dataflow": ("repro.experiments.dataflow_machine", dict(processors=(2, 8), scale=0.05)),
-    "ring_sizing": (
-        "repro.experiments.ring_sizing_exp",
-        dict(ips=(2, 4), scale=0.05, selectivity=0.3),
-    ),
-    "tuple_granularity": (
-        "repro.experiments.granularity_tuple",
-        dict(processors=(3,), scale=0.05, selectivity=0.3),
-    ),
-    "ring_vs_direct": (
-        "repro.experiments.ring_vs_direct",
-        dict(ips=(3,), scale=0.05, selectivity=0.3, controllers=12),
-    ),
-    "project": ("repro.experiments.project_operator", dict(processors=(1, 4), rows=4000)),
-    "fault_tolerance": (
-        "repro.experiments.fault_tolerance",
-        dict(processors=6, kill_counts=(0, 2), scale=0.05),
-    ),
-    "chaos": (
-        "repro.experiments.chaos_sweep",
-        dict(machines=("ring", "direct"), rates=(0.0, 0.05), scale=0.02, processors=6),
-    ),
-    "serving": (
-        "repro.experiments.serving",
-        dict(machines=("ring",), rates=(20.0, 60.0), duration_ms=1500.0, scale=0.05),
-    ),
-    "latency_decomposition": (
-        "repro.experiments.latency_decomposition",
-        dict(machines=("ring",), rates=(20.0, 60.0), duration_ms=1500.0, scale=0.05),
-    ),
-    "recovery": (
-        "repro.experiments.recovery_sweep",
-        dict(
-            machines=("ring", "direct", "dataflow"),
-            write_fractions=(0.5,),
-            crash_rates=(0.0, 1.0),
-            scale=0.02,
-            queries=6,
-            workers=1,
-        ),
-    ),
-}
+from repro.experiments import EXPERIMENTS
 
 
 def render_experiment(name: str) -> str:
     """One experiment's rendered report under its quick configuration."""
     try:
-        module_name, kwargs = QUICK_CONFIGS[name]
+        row = EXPERIMENTS[name]
     except KeyError:
         raise CheckError(
             f"no identity configuration for experiment {name!r} "
-            f"(known: {', '.join(sorted(QUICK_CONFIGS))})"
+            f"(known: {', '.join(sorted(EXPERIMENTS))})"
         ) from None
-    module = importlib.import_module(module_name)
-    result = module.run(**dict(kwargs))
-    return str(result.render())
+    return str(row.load().run(**row.quick).render())
 
 
 def tracing_identity_mismatches(
@@ -105,7 +48,7 @@ def tracing_identity_mismatches(
     """
     from repro import obs
 
-    names = list(experiments) if experiments else list(QUICK_CONFIGS)
+    names = list(experiments) if experiments else list(EXPERIMENTS)
     mismatches: List[str] = []
     for name in names:
         baseline = render_experiment(name)

@@ -6,7 +6,7 @@ Commands:
 * ``run <experiment> [...]``  — regenerate one paper artifact (table + chart)
 * ``trace <experiment>``      — run instrumented; write a Chrome/Perfetto trace
 * ``metrics <experiment>``    — run instrumented; emit a JSON metrics report
-* ``bench``                   — time the sweep experiments; append an entry
+* ``bench``                   — time every experiment; append an entry
                                 to the BENCH_sweeps.json perf trajectory;
                                 ``--gate`` fails on >20% events/sec drops
 * ``bench-info``              — how to run the benchmark suite
@@ -65,61 +65,44 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro import obs
-
-from repro.experiments import (
-    chaos_sweep,
-    dataflow_machine,
-    fault_tolerance,
-    figure_3_1,
-    figure_4_2,
-    granularity_tuple,
-    latency_decomposition,
-    packets_demo,
-    project_operator,
-    recovery_sweep,
-    ring_sizing_exp,
-    ring_vs_direct,
-    section_3_3,
-    serving,
-)
-from repro.experiments.ascii_chart import figure_3_1_chart, figure_4_2_chart
-
-_EXPERIMENTS: Dict[str, tuple] = {
-    "figure_3_1": (figure_3_1, "E1: page- vs relation-level granularity (DIRECT)"),
-    "section_3_3": (section_3_3, "E2: tuple vs page arbitration traffic (analytic)"),
-    "figure_4_2": (figure_4_2, "E3: bandwidth by level vs number of IPs (ring)"),
-    "packets": (packets_demo, "E4: packet formats of Figures 4.3-4.5"),
-    "dataflow": (dataflow_machine, "E6: granularities on the MIT-model machine"),
-    "ring_sizing": (ring_sizing_exp, "E7: ring technology feasibility"),
-    "tuple_granularity": (granularity_tuple, "E8: tuple granularity measured"),
-    "ring_vs_direct": (ring_vs_direct, "E10: distributed vs centralized control"),
-    "project": (project_operator, "E11: parallel duplicate elimination"),
-    "fault_tolerance": (fault_tolerance, "E13: survive disabled processors"),
-    "chaos": (chaos_sweep, "E14: chaos sweep — every fault class x rate x machine"),
-    "serving": (serving, "E15: serving saturation — offered rate x throughput x latency"),
-    "latency_decomposition": (
-        latency_decomposition,
-        "E16: latency decomposition — critical-path bucket shares vs load",
-    ),
-    "recovery": (
-        recovery_sweep,
-        "E17: recovery sweep — byte-identical restart after stateful crashes",
-    ),
-}
+from repro.experiments import EXPERIMENTS
+from repro.host import MACHINES
 
 
 def _int_list(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _emit(text: str, out: Optional[str], what: str) -> None:
+    """Write ``text`` to ``out`` and say so, or print it when no path is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {what} to {out}")
+    else:
+        print(text)
+
+
+@contextlib.contextmanager
+def _sanitized(enabled: bool) -> Iterator[None]:
+    """Run the body under the simulation sanitizer when ``enabled``."""
+    if not enabled:
+        yield
+        return
+    from repro.check import sanitizing
+
+    with sanitizing():
+        yield
+
+
 def _cmd_list(_args) -> int:
-    width = max(len(name) for name in _EXPERIMENTS)
+    width = max(len(name) for name in EXPERIMENTS)
     print("experiments (python -m repro run <name>):\n")
-    for name, (_module, summary) in _EXPERIMENTS.items():
-        print(f"  {name.ljust(width)}  {summary}")
+    for row in EXPERIMENTS.values():
+        print(f"  {row.name.ljust(width)}  {row.summary}")
     return 0
 
 
@@ -133,9 +116,9 @@ def _experiment_kwargs(args) -> Dict[str, object]:
         kwargs["processors"] = tuple(args.processors)
     if args.ips is not None:
         kwargs["ips"] = tuple(args.ips)
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         kwargs["workers"] = args.workers
-    if getattr(args, "sanitize", False):
+    if args.sanitize:
         # The sanitize flag is ambient and process-local, so sweep points
         # must stay in this process.
         kwargs["workers"] = 1
@@ -144,19 +127,15 @@ def _experiment_kwargs(args) -> Dict[str, object]:
 
 def _run_experiment(args):
     """Resolve and run one experiment; returns (result, error_code)."""
-    if args.experiment not in _EXPERIMENTS:
+    if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'python -m repro list'")
         return None, 2
-    module, _summary = _EXPERIMENTS[args.experiment]
+    run = EXPERIMENTS[args.experiment].load().run
     try:
         # The sanitizer is process-local and forces workers=1 in
         # _experiment_kwargs.
-        with contextlib.ExitStack() as stack:
-            if getattr(args, "sanitize", False):
-                from repro.check import sanitizing
-
-                stack.enter_context(sanitizing())
-            return module.run(**_experiment_kwargs(args)), 0
+        with _sanitized(args.sanitize):
+            return run(**_experiment_kwargs(args)), 0
     except TypeError as exc:
         print(f"experiment {args.experiment!r} rejected options: {exc}")
         return None, 2
@@ -166,6 +145,8 @@ def _cmd_run(args) -> int:
     result, code = _run_experiment(args)
     if result is None:
         return code
+    from repro.experiments.ascii_chart import figure_3_1_chart, figure_4_2_chart
+
     print(result.render())
     if args.experiment == "figure_3_1" and len(result.rows) > 1:
         print()
@@ -212,12 +193,7 @@ def _cmd_metrics(args) -> int:
     else:
         report = metrics_report(session.metrics, experiment_id=args.experiment)
         text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote metrics report to {args.out}")
-    else:
-        print(text)
+    _emit(text, args.out, "metrics report")
     return 0
 
 
@@ -250,9 +226,10 @@ def _cmd_bench(args) -> int:
         quick=args.quick, scale=args.scale, workers=args.workers, only=only
     )
     totals = report["totals"]
+    width = max(len(name) for name in known)
     for entry in report["experiments"]:
         print(
-            f"  {entry['experiment']:<20} {entry['wall_s']:>8.2f}s  "
+            f"  {entry['experiment']:<{width}} {entry['wall_s']:>8.2f}s  "
             f"{entry['sim_events']:>10} events  {entry['events_per_sec']:>9} ev/s"
         )
     if args.gate:
@@ -303,12 +280,7 @@ def _cmd_check(args) -> int:
     findings = lint_paths(args.paths)
     fmt = "json" if args.as_json else "text"
     text = render_json(findings) if args.as_json else render_text(findings)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {len(findings)} finding(s) as {fmt} to {args.report_out}")
-    else:
-        print(text)
+    _emit(text, args.report_out, f"{len(findings)} finding(s) as {fmt}")
     return 1 if findings else 0
 
 
@@ -346,8 +318,8 @@ def _cmd_faults(args) -> int:
             )
         plan = FaultPlan(seed=args.seed, specs=tuple(specs))
 
-    def execute() -> dict:
-        return run_faulted_benchmark(
+    with _sanitized(args.sanitize):
+        summary = run_faulted_benchmark(
             args.machine,
             plan,
             scale=args.scale,
@@ -355,22 +327,8 @@ def _cmd_faults(args) -> int:
             seed=args.seed,
             processors=args.processors,
         )
-
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            summary = execute()
-    else:
-        summary = execute()
     payload = {"machine": args.machine, "plan": plan.to_dict(), **summary}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote fault report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, "fault report")
     return 0 if summary["all_correct"] else 1
 
 
@@ -387,8 +345,8 @@ def _cmd_recover(args) -> int:
     """
     from repro.recovery.harness import run_crash_trial
 
-    def execute():
-        return run_crash_trial(
+    with _sanitized(args.sanitize):
+        trial = run_crash_trial(
             machine=args.machine,
             seed=args.seed,
             scale=args.scale,
@@ -400,14 +358,6 @@ def _cmd_recover(args) -> int:
             queries=args.queries,
             processors=args.processors,
         )
-
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            trial = execute()
-    else:
-        trial = execute()
     if args.dump_prefix:
         recovered_path = f"{args.dump_prefix}.recovered.bin"
         oracle_path = f"{args.dump_prefix}.oracle.bin"
@@ -416,13 +366,7 @@ def _cmd_recover(args) -> int:
         with open(oracle_path, "wb") as handle:
             handle.write(trial.oracle)
         print(f"wrote {recovered_path} and {oracle_path}")
-    text = json.dumps(trial.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote recovery report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(trial.to_dict(), indent=2, sort_keys=True), args.out, "recovery report")
     return 0 if trial.ok else 1
 
 
@@ -456,21 +400,9 @@ def _cmd_serve(args) -> int:
     """Run one serving session; print (or write) the JSON SLO report."""
     from repro.serve import serve
 
-    config = _serve_config(args)
-    if args.sanitize:
-        from repro.check import sanitizing
-
-        with sanitizing():
-            slo = serve(config)
-    else:
-        slo = serve(config)
-    text = json.dumps(slo, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote SLO report to {args.out}")
-    else:
-        print(text)
+    with _sanitized(args.sanitize):
+        slo = serve(_serve_config(args))
+    _emit(json.dumps(slo, indent=2, sort_keys=True), args.out, "SLO report")
     return 0
 
 
@@ -498,13 +430,7 @@ def _cmd_explain_latency(args) -> int:
             }
         },
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote latency attribution report to {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=2, sort_keys=True), args.out, "latency attribution report")
     if args.tsdb_out:
         tsdb = build_tsdb(collector, end_ms=float(slo["elapsed_ms"]))
         with open(args.tsdb_out, "w", encoding="utf-8") as handle:
@@ -606,13 +532,18 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--seed", type=int, default=1979)
 
     bench = sub.add_parser(
-        "bench", help="time the sweep experiments; write a BENCH JSON report"
+        "bench", help="time every experiment; write a BENCH JSON report"
     )
     bench.add_argument(
-        "--quick", action="store_true", help="small grids at scale 0.05 (CI smoke)"
+        "--quick",
+        action="store_true",
+        help="each experiment's quick kwargs (CI smoke); default: run() defaults",
     )
     bench.add_argument(
-        "--scale", type=float, default=None, help="override the workload scale"
+        "--scale",
+        type=float,
+        default=None,
+        help="override the workload scale of the experiments that take one",
     )
     bench.add_argument(
         "--workers",
@@ -728,9 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a mixed write workload, crash it (torn pages + corrupt "
         "log tail), restart, and verify byte-identity against the oracle",
     )
-    recover.add_argument(
-        "--machine", choices=["ring", "direct", "dataflow"], default="ring"
-    )
+    recover.add_argument("--machine", choices=MACHINES, default="ring")
     recover.add_argument("--seed", type=int, default=0)
     recover.add_argument("--scale", type=float, default=0.02, help="database scale")
     recover.add_argument(
@@ -769,9 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_serving_options(parser_: argparse.ArgumentParser) -> None:
-        parser_.add_argument(
-            "--machine", choices=["ring", "direct", "dataflow"], default="ring"
-        )
+        parser_.add_argument("--machine", choices=MACHINES, default="ring")
         parser_.add_argument(
             "--arrivals", choices=["poisson", "bursty", "diurnal"], default="poisson"
         )

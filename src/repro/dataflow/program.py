@@ -30,13 +30,6 @@ class DataflowProgram:
     #: (cell, slot) pairs preloaded with base pages at start time.
     preloaded: List[Tuple[Cell, int, int]] = field(default_factory=list)
 
-    def cell_for(self, node: QueryNode) -> Cell:
-        """The cell compiled from ``node``."""
-        for cell in self.cells:
-            if cell.node is node:
-                return cell
-        raise MachineError(f"no cell for node {node!r}")
-
 
 def compile_query(
     tree: QueryTree, catalog: Catalog, page_bytes: int = 2048

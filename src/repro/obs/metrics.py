@@ -119,11 +119,10 @@ class MetricsRegistry:
         merge, so a sweep worker's locally numbered runs (1, 2, ...) land
         under exactly the ids the serial execution order would have
         assigned.  Counters add, gauges last-write-win, series extend
-        sample-by-sample (still monotonicity-checked).  Tallies whose dump
-        carries raw samples (``capture_tally_samples`` registries) are
-        *replayed* observation-by-observation — bit-identical to having
-        recorded serially; tallies without samples fall back to the
-        pairwise Welford combine.
+        sample-by-sample (still monotonicity-checked), and tallies are
+        *replayed* observation-by-observation from the raw samples of a
+        ``capture_tally_samples`` registry's dump — bit-identical to
+        having recorded serially.
         """
 
         def rekey(key: str) -> str:
@@ -145,12 +144,8 @@ class MetricsRegistry:
         for key, state in dump["tallies"].items():
             name, labels = parse_metric_key(rekey(key))
             tally = self.tally(name, **labels)
-            samples = state[5] if len(state) > 5 else None
-            if samples is not None:
-                for sample in samples:
-                    tally.observe(sample)
-            else:
-                tally.combine(*state[:5])
+            for sample in state[5]:
+                tally.observe(sample)
         for key, samples in dump["series"].items():
             name, labels = parse_metric_key(rekey(key))
             series = self.series(name, **labels)

@@ -102,10 +102,6 @@ class LogRecord:
     att: Dict[int, Tuple[int, str]] = field(default_factory=dict)
     dpt: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
-    @property
-    def kind_name(self) -> str:
-        return KIND_NAMES.get(self.kind, f"?{self.kind}")
-
 
 def _pack_str(text: str) -> bytes:
     data = text.encode("utf-8")

@@ -74,29 +74,6 @@ class Tally:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    def combine(
-        self, count: int, mean: float, m2: float, minimum: float, maximum: float
-    ) -> None:
-        """Fold another tally's state into this one (parallel Welford merge).
-
-        The sweep runner uses this to merge per-worker registries; the
-        combined count/extrema are exact, mean and variance are the
-        standard pairwise combination.
-        """
-        if count <= 0:
-            return
-        if self.count == 0:
-            self.count, self._mean, self._m2 = count, mean, m2
-            self.minimum, self.maximum = minimum, maximum
-            return
-        total = self.count + count
-        delta = mean - self._mean
-        self._m2 += m2 + delta * delta * self.count * count / total
-        self._mean += delta * count / total
-        self.count = total
-        self.minimum = min(self.minimum, minimum)
-        self.maximum = max(self.maximum, maximum)
-
     def __repr__(self) -> str:
         return f"Tally({self.name!r}, n={self.count}, mean={self.mean:.3f})"
 

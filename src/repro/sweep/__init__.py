@@ -4,7 +4,7 @@
   with deterministic ordering and metrics merge (see
   :mod:`repro.sweep.runner`).
 * :mod:`repro.sweep.bench` — the ``repro bench`` harness: wall-clock and
-  events/second per sweep experiment, recorded to ``BENCH_sweeps.json``.
+  events/second per experiment, recorded to ``BENCH_sweeps.json``.
 """
 
 from repro.sweep.runner import effective_workers, map_points

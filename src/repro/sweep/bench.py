@@ -1,10 +1,15 @@
 """The ``repro bench`` harness: the repo's wall-clock perf baseline.
 
-Runs each sweep experiment once (instrumented, metrics on) and records
-wall-clock seconds plus simulator events/second into a JSON report —
-``BENCH_sweeps.json`` by default.  A ``sim_core`` microbenchmark rides
-along to anchor the raw event-loop throughput independently of any
-workload.
+Runs every experiment of :data:`repro.experiments.EXPERIMENTS` once
+(instrumented, metrics on) and records wall-clock seconds plus simulator
+events/second into a JSON report — ``BENCH_sweeps.json`` by default.
+``--quick`` runs each row's quick kwargs; a full run calls ``run()``
+with its own defaults, as ``repro run <name>`` does.  ``--scale`` and
+``--workers`` reach only the experiments whose ``run()`` takes them.
+Three special rows come first: a ``sim_core`` microbenchmark anchors the
+raw event-loop throughput independently of any workload, and
+``spans_overhead`` and ``wal_overhead`` price an armed span collector
+and the write-ahead log.
 
 The report schema (``repro-bench/v1``) is stable: existing keys keep
 their names and meanings; new keys may be added.  Top level::
@@ -13,7 +18,7 @@ their names and meanings; new keys may be added.  Top level::
     created_unix  wall-clock timestamp of the run
     host          {python, platform, cpu_count}
     quick         True for --quick
-    scale         workload scale the sweeps ran at
+    scale         the --scale override (None: each experiment's own)
     workers       sweep worker processes (1 = serial)
     experiments   [{experiment, wall_s, sim_events, events_per_sec,
                     points, rows}, ...]
@@ -21,7 +26,8 @@ their names and meanings; new keys may be added.  Top level::
 
 ``sim_events`` is the merged ``sim.events`` counter across every
 simulator the experiment built; ``points`` is the number of independent
-sweep points the experiment fanned out.
+sweep points the experiment handed to :func:`repro.sweep.map_points`
+(1 for an experiment that makes none).
 
 **Trajectory** (``repro-bench/v2``): ``BENCH_sweeps.json`` holds the
 perf history, not just the latest run — ``{schema, entries: [report,
@@ -35,14 +41,16 @@ into red builds.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import platform
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.experiments import EXPERIMENTS
+from repro.sweep import runner
 
 #: Default output path (repo root when run from there).
 DEFAULT_OUT = "BENCH_sweeps.json"
@@ -60,94 +68,9 @@ GATE_THRESHOLD = 0.2
 SIM_CORE_EVENTS = 200_000
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One benchmarked experiment: a runner plus per-mode kwargs."""
-
-    name: str
-    run: Callable
-    quick_kwargs: Dict
-    full_kwargs: Dict
-    #: Sweep points the kwargs produce (for the report's ``points`` field).
-    points: Callable[[Dict], int]
-
-    def kwargs(self, quick: bool) -> Dict:
-        return dict(self.quick_kwargs if quick else self.full_kwargs)
-
-
-def _grid(field: str, factors: int = 1) -> Callable[[Dict], int]:
-    return lambda kwargs: len(kwargs[field]) * factors
-
-
-def bench_cases() -> List[BenchCase]:
-    """The benchmarked sweeps (imported here to keep the CLI import light)."""
-    from repro.experiments import (
-        dataflow_machine,
-        figure_3_1,
-        figure_4_2,
-        granularity_tuple,
-        ring_vs_direct,
-        serving,
-    )
-
-    return [
-        BenchCase(
-            "figure_3_1",
-            figure_3_1.run,
-            quick_kwargs=dict(processors=(2, 4), scale=0.05, selectivity=0.3),
-            full_kwargs=dict(processors=(5, 10, 20), scale=0.25),
-            points=_grid("processors", 2),  # x (page, relation)
-        ),
-        BenchCase(
-            "figure_4_2",
-            figure_4_2.run,
-            quick_kwargs=dict(ips=(2, 4), scale=0.05, selectivity=0.3, controllers=12),
-            full_kwargs=dict(ips=(5, 10, 25), scale=0.25),
-            points=_grid("ips"),
-        ),
-        BenchCase(
-            "ring_vs_direct",
-            ring_vs_direct.run,
-            quick_kwargs=dict(ips=(3,), scale=0.05, selectivity=0.3, controllers=12),
-            full_kwargs=dict(ips=(10, 25), scale=0.25),
-            points=_grid("ips", 3),  # x (direct, ring, ring-routed)
-        ),
-        BenchCase(
-            "granularity_tuple",
-            granularity_tuple.run,
-            quick_kwargs=dict(processors=(3,), scale=0.05, selectivity=0.3),
-            full_kwargs=dict(processors=(10, 30), scale=0.25),
-            points=_grid("processors", 3),  # x (page, relation, tuple)
-        ),
-        BenchCase(
-            "dataflow",
-            dataflow_machine.run,
-            quick_kwargs=dict(processors=(2, 8), scale=0.05),
-            full_kwargs=dict(processors=(2, 8, 32), scale=0.1),
-            points=_grid("processors", 3),  # x granularities
-        ),
-        BenchCase(
-            "serving",
-            serving.run,
-            quick_kwargs=dict(
-                machines=("ring",), rates=(20.0, 60.0), duration_ms=1500.0, scale=0.05
-            ),
-            full_kwargs=dict(
-                machines=("ring", "direct"),
-                rates=(10.0, 20.0, 40.0, 80.0),
-                duration_ms=4000.0,
-                scale=0.05,
-            ),
-            points=lambda kwargs: len(kwargs["machines"]) * len(kwargs["rates"]),
-        ),
-    ]
-
-
 def bench_names() -> List[str]:
     """Every row ``run_bench(only=...)`` can select, in run order."""
-    return ["sim_core", "spans_overhead", "wal_overhead"] + [
-        case.name for case in bench_cases()
-    ]
+    return ["sim_core", "spans_overhead", "wal_overhead", *EXPERIMENTS]
 
 
 def _sim_core_entry() -> dict:
@@ -268,28 +191,28 @@ def run_bench(
         entries.append(_spans_overhead_entry())
     if not only or "wal_overhead" in only:
         entries.append(_wal_overhead_entry())
-    used_scale = None
-    for case in bench_cases():
-        if only and case.name not in only:
+    for row in EXPERIMENTS.values():
+        if only and row.name not in only:
             continue
-        kwargs = case.kwargs(quick)
-        if scale is not None:
-            kwargs["scale"] = scale
-        if workers is not None:
-            kwargs["workers"] = workers
-        used_scale = kwargs.get("scale")
+        run = row.load().run
+        kwargs = dict(row.quick) if quick else {}
+        accepted = inspect.signature(run).parameters
+        for key, value in (("scale", scale), ("workers", workers)):
+            if value is not None and key in accepted:
+                kwargs[key] = value
+        points_before = runner.points_made
         with obs.observe(trace=False, metrics=True) as session:
             start = time.perf_counter()
-            result = case.run(**kwargs)
+            result = run(**kwargs)
             wall = time.perf_counter() - start
         events = int(session.metrics.value("sim.events"))
         entries.append(
             {
-                "experiment": case.name,
+                "experiment": row.name,
                 "wall_s": round(wall, 4),
                 "sim_events": events,
                 "events_per_sec": round(events / wall) if wall > 0 else 0,
-                "points": case.points(kwargs),
+                "points": max(1, runner.points_made - points_before),
                 "rows": len(result.rows),
             }
         )
@@ -304,7 +227,7 @@ def run_bench(
             "cpu_count": os.cpu_count(),
         },
         "quick": quick,
-        "scale": used_scale,
+        "scale": scale,
         "workers": workers if workers is not None else 1,
         "experiments": entries,
         "totals": {

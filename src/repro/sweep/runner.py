@@ -35,6 +35,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro import obs
 from repro.errors import SimulationError
 
+#: Sweep points :func:`map_points` has been handed in this process;
+#: ``repro bench`` reads the growth across one experiment as its
+#: ``points`` field.
+points_made = 0
+
 
 def effective_workers(workers: Optional[int], points: int) -> int:
     """Resolve a ``--workers`` request against the host and the sweep size.
@@ -93,7 +98,9 @@ def map_points(
     interchangeable.  Tracing and span collection are single global
     timelines a worker process cannot write into, hence the fallback.
     """
+    global points_made
     points = list(points)
+    points_made += len(points)
     session = obs.ambient()
     n_workers = effective_workers(workers, len(points))
     if n_workers <= 1 or len(points) <= 1 or not session.mergeable:

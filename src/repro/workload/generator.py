@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro import hw
 from repro.errors import WorkloadError
@@ -162,14 +162,3 @@ def generate_benchmark_database(
     return BenchmarkDatabase(
         catalog=catalog, specs=specs, scale=scale, seed=seed, page_bytes=page_bytes
     )
-
-
-def database_profile(db: BenchmarkDatabase) -> Dict[str, int]:
-    """Summary numbers the experiments print alongside figures."""
-    return {
-        "relations": len(db.specs),
-        "total_rows": db.catalog.total_rows,
-        "total_bytes": db.catalog.total_bytes,
-        "record_width": BENCHMARK_SCHEMA.record_width,
-        "page_bytes": db.page_bytes,
-    }

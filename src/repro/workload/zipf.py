@@ -43,21 +43,11 @@ class ZipfGenerator:
         return bisect.bisect_left(self._cdf, u) + 1
 
 
-def uniform_int(rng: random.Random, low: int, high: int) -> int:
-    """Uniform integer in ``[low, high]`` inclusive."""
-    return rng.randint(low, high)
-
-
 def shuffled_range(rng: random.Random, n: int) -> List[int]:
     """The integers ``0..n-1`` in a seeded random order (unique keys)."""
     values = list(range(n))
     rng.shuffle(values)
     return values
-
-
-def random_string(rng: random.Random, length: int, alphabet: str = "abcdefghijklmnopqrstuvwxyz") -> str:
-    """A random fixed-length string over ``alphabet``."""
-    return "".join(rng.choice(alphabet) for _ in range(length))
 
 
 def weighted_partition(total: int, weights: Sequence[float]) -> List[int]:

@@ -78,14 +78,14 @@ def test_bench_only_rejects_unknown_names(tmp_path, capsys):
 
     out = tmp_path / "bench.json"
     out.write_text("sentinel")
-    # E8's ``repro run`` name; the bench calls that row granularity_tuple.
-    code = main(["bench", "--quick", "--gate", "--only", "tuple_granularity", "--out", str(out)])
+    # E8's old bench row name; the bench now uses the ``repro run`` names.
+    code = main(["bench", "--quick", "--gate", "--only", "granularity_tuple", "--out", str(out)])
     assert code == 2
     printed = capsys.readouterr().out
-    assert "tuple_granularity" in printed
+    assert "granularity_tuple" in printed
     for name in bench.bench_names():
         assert name in printed
-    assert {"sim_core", "spans_overhead", "wal_overhead", "granularity_tuple"} <= set(
+    assert {"sim_core", "spans_overhead", "wal_overhead", "tuple_granularity"} <= set(
         bench.bench_names()
     )
     assert out.read_text() == "sentinel"  # the trajectory is untouched
