@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -277,6 +278,10 @@ def _cmd_check(args) -> int:
             return 1
         print("tracing identity OK: byte-identical renders")
         return 0
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        print(f"repro check: no such file or directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
     findings = lint_paths(args.paths)
     fmt = "json" if args.as_json else "text"
     text = render_json(findings) if args.as_json else render_text(findings)

@@ -17,28 +17,25 @@ granularity (Section 3.0):
 
 A cell does not execute anything itself; it *fires* :class:`FiringUnit`
 packets — (page), (outer page x inner page), or (whole relations) — that
-the machine routes through the arbitration network to a processor.
+the machine routes through the arbitration network to a processor.  When a
+firing returns, the cell runs its node's shared kernel from
+:mod:`repro.relational.kernels` over the firing's pages.  A join cell's
+kernel keeps one equijoin probe per inner page for the cell's life, so a
+page that meets many outer pages is probed once; the probes go when the
+cell is done.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Set, Tuple
+from typing import List, Tuple
 
 from repro.errors import MachineError
-from repro.relational.page import Page
+from repro.relational.kernels import compile_kernel
+from repro.relational.page import Page, PageAssembler
 from repro.relational.schema import Row, Schema
-from repro.query.tree import (
-    AppendNode,
-    DeleteNode,
-    JoinNode,
-    ProjectNode,
-    QueryNode,
-    RestrictNode,
-    UnionNode,
-    UpdateNode,
-)
+from repro.query.tree import JoinNode, QueryNode
 
 
 class OperandSlot:
@@ -104,7 +101,13 @@ class Cell:
 
     _ids = itertools.count(1)
 
-    def __init__(self, node: QueryNode, operand_schemas: List[Tuple[str, Schema]], output_schema: Schema):
+    def __init__(
+        self,
+        node: QueryNode,
+        operand_schemas: List[Tuple[str, Schema]],
+        output_schema: Schema,
+        page_bytes: int,
+    ):
         self.cell_id = next(self._ids)
         self.node = node
         self.output_schema = output_schema
@@ -123,7 +126,9 @@ class Cell:
         self._fire_seq = itertools.count()
         self.firings_outstanding = 0
         self.done = False
-        self._kernel = _make_kernel(node, [s for _, s in operand_schemas], output_schema)
+        self._kernel = compile_kernel(node, [s for _, s in operand_schemas])
+        #: Packs this cell's result rows into full pages for distribution.
+        self.output = PageAssembler(output_schema, page_bytes)
 
     # -- enabling -----------------------------------------------------------------
 
@@ -202,8 +207,31 @@ class Cell:
     # -- execution ------------------------------------------------------------------
 
     def execute(self, unit: FiringUnit) -> List[Row]:
-        """The processor-side computation for one firing (row-exact)."""
-        return self._kernel(unit)
+        """The processor-side computation for one firing (row-exact).
+
+        A join firing meets each of its outer pages with each of its inner
+        pages, outer page major: the rows and their order are those of
+        nested loops.
+        """
+        kernel = self._kernel
+        out: List[Row] = []
+        if isinstance(self.node, JoinNode):
+            outer, inner = self.operands[0].pages, self.operands[1].pages
+            inner_indices = [p for s, p in unit.pages if s == 1]
+            for o in (p for s, p in unit.pages if s == 0):
+                for i in inner_indices:
+                    out.extend(kernel(outer[o], i, inner[i]))
+            return out
+        for slot, page in unit.pages:
+            out.extend(kernel(self.operands[slot].pages[page]))
+        return out
+
+    def retire(self) -> None:
+        """Every firing has returned and landed: the cell is done, and a
+        join's probes go."""
+        self.done = True
+        if isinstance(self.node, JoinNode):
+            self._kernel.clear()
 
     def cpu_cost_rows(self, unit: FiringUnit) -> int:
         """Row-operations this firing costs (the time model's input).
@@ -223,118 +251,3 @@ class Cell:
 
     def __repr__(self) -> str:
         return f"Cell{self.cell_id}({self.node.opcode}{self.node.node_id})"
-
-
-def _make_kernel(
-    node: QueryNode, operand_schemas: List[Schema], output_schema: Schema
-) -> Callable[[FiringUnit], List[Row]]:
-    """Compile the node into a firing-unit kernel."""
-    if isinstance(node, RestrictNode):
-        test = node.predicate.compile(operand_schemas[0])
-
-        def restrict_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                out.extend(r for r in unit.cell.operands[slot].pages[page].rows() if test(r))
-            return out
-
-        return restrict_kernel
-
-    if isinstance(node, ProjectNode):
-        indices = [operand_schemas[0].index_of(a) for a in node.attributes]
-        seen: Set[Row] = set()
-        dedup = node.eliminate_duplicates
-
-        def project_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                for row in unit.cell.operands[slot].pages[page].rows():
-                    cut = tuple(row[i] for i in indices)
-                    if dedup:
-                        if cut in seen:
-                            continue
-                        seen.add(cut)
-                    out.append(cut)
-            return out
-
-        return project_kernel
-
-    if isinstance(node, UnionNode):
-        seen_union: Set[Row] = set()
-
-        def union_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                for row in unit.cell.operands[slot].pages[page].rows():
-                    if row not in seen_union:
-                        seen_union.add(row)
-                        out.append(row)
-            return out
-
-        return union_kernel
-
-    if isinstance(node, AppendNode):
-
-        def append_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                out.extend(unit.cell.operands[slot].pages[page].rows())
-            return out
-
-        return append_kernel
-
-    if isinstance(node, DeleteNode):
-        survive = node.predicate.compile(operand_schemas[0])
-
-        def delete_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                out.extend(
-                    r
-                    for r in unit.cell.operands[slot].pages[page].rows()
-                    if not survive(r)
-                )
-            return out
-
-        return delete_kernel
-
-    if isinstance(node, UpdateNode):
-        apply_row = node.compile_apply(operand_schemas[0])
-
-        def update_kernel(unit: FiringUnit) -> List[Row]:
-            out: List[Row] = []
-            for slot, page in unit.pages:
-                out.extend(
-                    apply_row(r) for r in unit.cell.operands[slot].pages[page].rows()
-                )
-            return out
-
-        return update_kernel
-
-    if isinstance(node, JoinNode):
-        from repro.direct.exec_model import equijoin_probe, join_pages, probe_join
-
-        condition = node.condition
-        outer_index = operand_schemas[0].index_of(condition.outer_attr)
-        inner_index = operand_schemas[1].index_of(condition.inner_attr)
-
-        def join_kernel(unit: FiringUnit) -> List[Row]:
-            outer_pages = [unit.cell.operands[0].pages[p] for s, p in unit.pages if s == 0]
-            inner_pages = [unit.cell.operands[1].pages[p] for s, p in unit.pages if s == 1]
-            out: List[Row] = []
-            if condition.is_equijoin:
-                # Each inner page meets every outer page of the firing:
-                # probe it once.
-                probes = [equijoin_probe(page, inner_index) for page in inner_pages]
-                for outer in outer_pages:
-                    for probe in probes:
-                        out.extend(probe_join(outer, probe, outer_index))
-                return out
-            for outer in outer_pages:
-                for inner in inner_pages:
-                    out.extend(join_pages(outer, inner, condition, outer_index, inner_index))
-            return out
-
-        return join_kernel
-
-    raise MachineError(f"the data-flow machine cannot execute {node.opcode!r} nodes")

@@ -27,7 +27,7 @@ from repro.errors import MachineError
 from repro.direct.exec_model import ExecModel
 from repro.host import MachineHost
 from repro.relational.catalog import Catalog
-from repro.relational.page import Page, page_capacity
+from repro.relational.page import Page
 from repro.relational.relation import Relation
 from repro.relational.schema import Row
 from repro.query.tree import AppendNode, DeleteNode, JoinNode, QueryTree, UpdateNode
@@ -85,7 +85,6 @@ class DataflowMachine(MachineHost):
         self._processor_count = processors
 
         self._programs: List[DataflowProgram] = []
-        self._assemblies: Dict[int, List[Row]] = {}
         self._results: Dict[str, List[Row]] = {}
         self.firings = 0
         self.arbitration_bytes = 0
@@ -103,7 +102,6 @@ class DataflowMachine(MachineHost):
         self._begin_write(tree)
         self._programs.append(program)
         for cell in program.cells:
-            self._assemblies[cell.cell_id] = []
             cell.tree_name = tree.name
         if self._serving:
             self._pump_soon()
@@ -206,32 +204,15 @@ class DataflowMachine(MachineHost):
         cell = unit.cell
         rows = cell.execute(unit)
         cell.firings_outstanding -= 1
-        self._emit(cell, rows)
+        for page in cell.output.add(rows):
+            self._distribute(cell, page)
         # New results (or freed processors) may enable more firings.
         self._pump()
 
     # ------------------------------------------------------------------ distribution
 
-    def _emit(self, cell: Cell, rows: List[Row]) -> None:
-        """Assemble result rows into pages; distribute completed pages."""
-        buffer = self._assemblies[cell.cell_id]
-        buffer.extend(rows)
-        capacity = page_capacity(cell.output_schema, self.page_bytes)
-        while len(buffer) >= capacity:
-            page = Page(cell.output_schema, self.page_bytes)
-            page.extend_unchecked(buffer[:capacity])  # kernel outputs are valid tuples
-            del buffer[:capacity]
-            self._distribute(cell, page)
-
-    def _flush(self, cell: Cell) -> None:
-        buffer = self._assemblies[cell.cell_id]
-        if buffer:
-            page = Page(cell.output_schema, self.page_bytes)
-            page.extend_unchecked(buffer)  # never overflows: _emit drains full pages
-            buffer.clear()
-            self._distribute(cell, page, final=True)
-
-    def _distribute(self, cell: Cell, page: Page, final: bool = False) -> None:
+    def _distribute(self, cell: Cell, page: Page) -> None:
+        """Send one result page to the destination cells (or the host)."""
         nbytes = page.used_bytes + self.model.packet_overhead_bytes
         self.distribution_bytes += nbytes
         cell.firings_outstanding += 1  # page in flight counts as work
@@ -265,10 +246,11 @@ class DataflowMachine(MachineHost):
     def _check_cell_completion(self, cell: Cell) -> None:
         if cell.done or not cell.all_work_fired_and_done(self.granularity):
             return
-        if self._assemblies[cell.cell_id]:
-            self._flush(cell)
-            return  # completion re-checked when the flush page lands
-        cell.done = True
+        final = cell.output.flush()
+        if final is not None:
+            self._distribute(cell, final)
+            return  # completion re-checked when the final page lands
+        cell.retire()
         for destination, slot in cell.destinations:
             destination.operands[slot].finish()
         if not cell.destinations:

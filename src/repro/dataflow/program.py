@@ -47,7 +47,7 @@ def compile_query(
             operand_schemas.append(
                 (_operand_name(child), child.output_schema(catalog))
             )
-        cell = Cell(node, operand_schemas, node.output_schema(catalog))
+        cell = Cell(node, operand_schemas, node.output_schema(catalog), page_bytes)
         by_node[node.node_id] = cell
         program.cells.append(cell)
         program.root = cell

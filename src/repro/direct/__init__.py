@@ -7,12 +7,13 @@ multiport CCD disk cache between the processors and the mass-storage
 disks.  This package rebuilds that simulator:
 
 * :mod:`repro.direct.exec_model` — per-page operator service times derived
-  from the paper's device constants, plus the row-exact page kernels.
+  from the paper's device constants (the row-exact page kernels every
+  machine shares live in :mod:`repro.relational.kernels`).
 * :mod:`repro.direct.cache` — the shared CCD disk cache (frames, LRU,
   dirty spills to disk).
 * :mod:`repro.direct.instructions` — runtime instruction objects compiled
-  from query-tree nodes, with page tables, task queues and output
-  assembly.
+  from query-tree nodes, with page tables, task queues and keyed result
+  pages.
 * :mod:`repro.direct.scheduler` — the three operand granularities as
   scheduling policies (RELATION / PAGE / TUPLE).
 * :mod:`repro.direct.machine` — the machine itself and its run report.

@@ -6,14 +6,19 @@ to a node in the query tree").  An instruction owns:
 
 * per-operand page tables that grow as producer instructions emit pages,
 * a task queue (the units of work dispatched to processors),
-* an output assembler that compresses result rows into full pages
-  (Section 4.2: partial pages "are compressed to form full pages").
+* its node's shared kernel from :mod:`repro.relational.kernels`, which
+  computes the rows,
+* a :class:`~repro.relational.page.PageAssembler` that compresses result
+  rows into full pages (Section 4.2: partial pages "are compressed to
+  form full pages"); the instruction only names each page (key, disk).
 
-The join instruction implements the paper's nested-loops discipline: tasks
-are *outer* pages; a task consumes every inner page, opportunistically and
-out of order (the IRC-vector idea), and parks itself when no unseen inner
-page is available yet — freeing its processor instead of blocking it,
-which is what prevents pipeline deadlock under small processor pools.
+:class:`UnaryInstruction` runs restrict, project, union, append, delete
+and update: one task per input page.  The join instruction implements the
+paper's nested-loops discipline: tasks are *outer* pages; a task consumes
+every inner page, opportunistically and out of order (the IRC-vector
+idea), and parks itself when no unseen inner page is available yet —
+freeing its processor instead of blocking it, which is what prevents
+pipeline deadlock under small processor pools.
 """
 
 from __future__ import annotations
@@ -25,20 +30,10 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import MachineError
 from repro.direct.cache import PageRef
-from repro.direct.exec_model import Probe, equijoin_probe, join_pages, probe_join
-from repro.relational.page import Page
+from repro.relational.kernels import JoinPairKernel, PageKernel, compile_kernel
+from repro.relational.page import Page, PageAssembler
 from repro.relational.schema import Row, Schema
-from repro.query.tree import (
-    AppendNode,
-    DeleteNode,
-    JoinNode,
-    ProjectNode,
-    QueryNode,
-    QueryTree,
-    RestrictNode,
-    UnionNode,
-    UpdateNode,
-)
+from repro.query.tree import JoinNode, ProjectNode, QueryNode, QueryTree
 
 
 @dataclass
@@ -54,11 +49,6 @@ class Task:
     page: PageRef
     seen_inner: Set[str] = field(default_factory=set)
 
-    @property
-    def is_join(self) -> bool:
-        """True for join (outer-page) tasks."""
-        return isinstance(self.instruction, JoinInstruction)
-
 
 class OperandTable:
     """Consumer-side page table for one operand (cf. Fig 4.3 source operands)."""
@@ -68,14 +58,12 @@ class OperandTable:
         self.schema = schema
         self.pages: List[PageRef] = []
         self.complete = False
-        self.total_rows = 0
 
     def add_page(self, ref: PageRef) -> None:
         """A producer delivered one more page of this operand."""
         if self.complete:
             raise MachineError(f"operand {self.name!r} grew after completion")
         self.pages.append(ref)
-        self.total_rows += ref.row_count
 
     def mark_complete(self) -> None:
         """The producer has finished; no further pages will arrive."""
@@ -87,56 +75,11 @@ class OperandTable:
         return len(self.pages)
 
 
-class OutputAssembler:
-    """Packs result rows densely into machine pages."""
-
-    def __init__(self, key_prefix: str, schema: Schema, page_bytes: int, disk_ids: int = 2):
-        self.key_prefix = key_prefix
-        self.schema = schema
-        self.page_bytes = page_bytes
-        self.disk_ids = disk_ids
-        self._buffer: List[Row] = []
-        self._page_seq = itertools.count()
-        self._capacity = Page(schema, page_bytes).capacity
-        self.rows_emitted = 0
-
-    def add_rows(self, rows: List[Row]) -> List[PageRef]:
-        """Buffer ``rows``; return any pages completed by them."""
-        self._buffer.extend(rows)
-        self.rows_emitted += len(rows)
-        completed: List[PageRef] = []
-        while len(self._buffer) >= self._capacity:
-            completed.append(self._make_page(self._buffer[: self._capacity]))
-            del self._buffer[: self._capacity]
-        return completed
-
-    def flush(self) -> Optional[PageRef]:
-        """Emit the final partial page, if any rows remain."""
-        if not self._buffer:
-            return None
-        ref = self._make_page(self._buffer)
-        self._buffer = []
-        return ref
-
-    def _make_page(self, rows: List[Row]) -> PageRef:
-        page = Page(self.schema, self.page_bytes)
-        page.extend_unchecked(rows)  # kernel outputs are pre-validated tuples
-        seq = next(self._page_seq)
-        return PageRef(
-            key=f"{self.key_prefix}:{seq}",
-            nbytes=self.page_bytes,
-            payload=page,
-            on_disk=False,
-            disk_id=seq % self.disk_ids,
-            row_count=page.row_count,
-        )
-
-
 class Instruction:
     """Base runtime instruction.
 
-    Subclasses define task generation and row computation; the machine
-    drives fetches, charges time, and calls back into the instruction for
+    Subclasses define task generation; the machine drives fetches, charges
+    time, runs the kernel, and calls back into the instruction for
     bookkeeping.
     """
 
@@ -153,9 +96,10 @@ class Instruction:
         self.output_schema = output_schema
         self.operands: List[OperandTable] = []
         self.consumers: List[Tuple["Instruction", int]] = []
-        self.assembler = OutputAssembler(
-            f"q{query.query_id}.n{node.node_id}", output_schema, page_bytes, disk_ids
-        )
+        self._output = PageAssembler(output_schema, page_bytes)
+        self._key_prefix = f"q{query.query_id}.n{node.node_id}"
+        self._page_seq = itertools.count()
+        self._disk_ids = disk_ids
         self.pending: Deque[Task] = deque()
         self.parked: List[Task] = []
         #: Join tasks holding their processor while awaiting broadcast inner
@@ -236,142 +180,58 @@ class Instruction:
         self.done = True
         self.completed_at = now
 
-    # -- consumption of input pages (page lifetime management) ---------------------
+    # -- output ----------------------------------------------------------------------
 
-    def input_page_consumed(self, ref: PageRef) -> bool:
-        """Record one consumption of an input page.
+    def emit(self, rows: List[Row]) -> List[PageRef]:
+        """Buffer result ``rows``; return the full pages they complete."""
+        return [self._name(page) for page in self._output.add(rows)]
 
-        Returns True when this instruction will never need ``ref`` again
-        (the machine may then drop intermediate pages from the cache).
-        Unary instructions consume each input page exactly once.
-        """
-        return True
+    def flush(self) -> Optional[PageRef]:
+        """The final partial result page, if any rows remain."""
+        page = self._output.flush()
+        return None if page is None else self._name(page)
 
-
-class RestrictInstruction(Instruction):
-    """Restrict: one task per input page."""
-
-    def __init__(self, node: RestrictNode, query, input_schema: Schema, page_bytes: int):
-        super().__init__(node, query, input_schema, page_bytes)
-        self.operands = [OperandTable("in", input_schema)]
-        self.test = node.predicate.compile(input_schema)
-
-    def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
-        self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """Rows of the task's page passing the predicate."""
-        return [row for row in task.page.payload.rows() if self.test(row)]
+    def _name(self, page: Page) -> PageRef:
+        seq = next(self._page_seq)
+        return PageRef(
+            key=f"{self._key_prefix}:{seq}",
+            nbytes=page.page_bytes,
+            payload=page,
+            on_disk=False,
+            disk_id=seq % self._disk_ids,
+            row_count=page.row_count,
+        )
 
 
-class ProjectInstruction(Instruction):
-    """Project: attribute cut + (centralized) duplicate elimination.
+#: Operand table names of the unary instructions; the rest read one "in".
+_OPERAND_NAMES = {"union": ("left", "right"), "delete": ("target",), "update": ("target",)}
 
-    Dedup state lives at the instruction, mirroring DIRECT's centralized
-    control; the ring machine revisits this (the paper's open problem).
+
+class UnaryInstruction(Instruction):
+    """Restrict, project, union, append, delete or update: one task per
+    input page, whose rows the node's shared page kernel computes.
+
+    Delete and update read the target relation itself as their operand:
+    the emitted stream is the target's whole new content (the
+    write-result convention shared with the other machines).  Project and
+    union eliminate duplicates at the instruction, mirroring DIRECT's
+    centralized control; the ring machine revisits this (the paper's open
+    problem).
     """
 
-    def __init__(self, node: ProjectNode, query, input_schema: Schema, page_bytes: int):
-        out_schema = input_schema.project(node.attributes)
-        super().__init__(node, query, out_schema, page_bytes)
-        self.operands = [OperandTable("in", input_schema)]
-        self.indices = [input_schema.index_of(a) for a in node.attributes]
-        self.eliminate_duplicates = node.eliminate_duplicates
-        self._seen: Set[Row] = set()
+    def __init__(self, node: QueryNode, query: QueryTree, input_schema: Schema, page_bytes: int):
+        output_schema = (
+            input_schema.project(node.attributes)
+            if isinstance(node, ProjectNode)
+            else input_schema
+        )
+        super().__init__(node, query, output_schema, page_bytes)
+        names = _OPERAND_NAMES.get(node.opcode, ("in",))
+        self.operands = [OperandTable(name, input_schema) for name in names]
+        self.kernel: PageKernel = compile_kernel(node, [input_schema] * len(names))
 
     def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
         self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """Projected (and deduplicated) rows of the task's page."""
-        out: List[Row] = []
-        for row in task.page.payload.rows():
-            cut = tuple(row[i] for i in self.indices)
-            if self.eliminate_duplicates:
-                if cut in self._seen:
-                    continue
-                self._seen.add(cut)
-            out.append(cut)
-        return out
-
-
-class UnionInstruction(Instruction):
-    """Union: pass-through of both operands with duplicate elimination."""
-
-    def __init__(self, node: UnionNode, query, input_schema: Schema, page_bytes: int):
-        super().__init__(node, query, input_schema, page_bytes)
-        self.operands = [OperandTable("left", input_schema), OperandTable("right", input_schema)]
-        self._seen: Set[Row] = set()
-
-    def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
-        self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """Task-page rows not yet emitted by either side."""
-        out: List[Row] = []
-        for row in task.page.payload.rows():
-            if row not in self._seen:
-                self._seen.add(row)
-                out.append(row)
-        return out
-
-
-class AppendInstruction(Instruction):
-    """Append: pass the child's rows through toward the target relation.
-
-    The machine installs the target's new content at query completion
-    (the shared apply path); this instruction only assembles the rows
-    that arrive from the subtree.
-    """
-
-    def __init__(self, node: AppendNode, query, input_schema: Schema, page_bytes: int):
-        super().__init__(node, query, input_schema, page_bytes)
-        self.operands = [OperandTable("in", input_schema)]
-
-    def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
-        self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """All rows of the task's page (appends filter nothing)."""
-        return list(task.page.payload.rows())
-
-
-class DeleteInstruction(Instruction):
-    """Delete: operand 0 is the target relation itself.
-
-    Rows *failing* the predicate survive; the emitted stream is the
-    target's whole new content (the write-result convention shared with
-    the ring machine).
-    """
-
-    def __init__(self, node: DeleteNode, query, input_schema: Schema, page_bytes: int):
-        super().__init__(node, query, input_schema, page_bytes)
-        self.operands = [OperandTable("target", input_schema)]
-        self.test = node.predicate.compile(input_schema)
-
-    def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
-        self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """Rows of the task's page that survive the delete."""
-        return [row for row in task.page.payload.rows() if not self.test(row)]
-
-
-class UpdateInstruction(Instruction):
-    """Update: operand 0 is the target relation; matching rows are
-    transformed and every row is re-emitted (whole new content)."""
-
-    def __init__(self, node: UpdateNode, query, input_schema: Schema, page_bytes: int):
-        super().__init__(node, query, input_schema, page_bytes)
-        self.operands = [OperandTable("target", input_schema)]
-        self.apply = node.compile_apply(input_schema)
-
-    def _on_new_input(self, operand_index: int, ref: PageRef) -> None:
-        self.pending.append(Task(self, ref))
-
-    def compute(self, task: Task) -> List[Row]:
-        """Every row of the task's page, transformed where matching."""
-        return [self.apply(row) for row in task.page.payload.rows()]
 
 
 class JoinInstruction(Instruction):
@@ -396,13 +256,11 @@ class JoinInstruction(Instruction):
             OperandTable("outer", outer_schema),
             OperandTable("inner", inner_schema),
         ]
-        self.condition = node.condition
-        self.outer_index = outer_schema.index_of(node.condition.outer_attr)
-        self.inner_index = inner_schema.index_of(node.condition.inner_attr)
         self._inner_consumptions: Dict[str, int] = {}
-        #: Equijoin probes of the inner pages in use, by page key.  Strict
-        #: 2PL keeps a base page unchanged while this instruction reads it.
-        self.probes: Dict[str, Probe] = {}
+        #: The shared join-pair kernel; its equijoin probes are kept by
+        #: inner page key.  Strict 2PL keeps a base page unchanged while
+        #: this instruction reads it.
+        self.kernel: JoinPairKernel = compile_kernel(node, [outer_schema, inner_schema])
 
     # -- input flow ---------------------------------------------------------------
 
@@ -455,27 +313,6 @@ class JoinInstruction(Instruction):
         """True when the task has met every inner page and none can follow."""
         return self.operands[1].complete and self.next_unseen_inner(task) is None
 
-    def compute_pair(self, task: Task, inner_ref: PageRef) -> List[Row]:
-        """Join the task's outer page with one inner page (row-exact).
-
-        An equijoin probes the inner page with the probe built the first
-        time any task met that page.
-        """
-        if not self.condition.is_equijoin:
-            return join_pages(
-                task.page.payload,
-                inner_ref.payload,
-                self.condition,
-                self.outer_index,
-                self.inner_index,
-            )
-        probe = self.probes.get(inner_ref.key)
-        if probe is None:
-            probe = self.probes[inner_ref.key] = equijoin_probe(
-                inner_ref.payload, self.inner_index
-            )
-        return probe_join(task.page.payload, probe, self.outer_index)
-
     def inner_page_consumed(self, ref: PageRef) -> bool:
         """Record one outer-task pass over an inner page.
 
@@ -488,14 +325,10 @@ class JoinInstruction(Instruction):
         self._inner_consumptions[ref.key] = count
         outer = self.operands[0]
         if outer.complete and count >= outer.page_count:
-            self.probes.pop(ref.key, None)
+            self.kernel.forget(ref.key)
             return True
         return False
 
     def complete(self, now: float) -> None:
         super().complete(now)
-        self.probes.clear()
-
-    def input_page_consumed(self, ref: PageRef) -> bool:
-        # Outer pages are consumed exactly once (their task finished).
-        return True
+        self.kernel.clear()

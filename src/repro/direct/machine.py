@@ -33,17 +33,7 @@ from repro.errors import MachineError
 from repro.direct import traffic as tlevels
 from repro.direct.cache import DiskCache, PageRef
 from repro.direct.exec_model import ExecModel
-from repro.direct.instructions import (
-    AppendInstruction,
-    DeleteInstruction,
-    Instruction,
-    JoinInstruction,
-    ProjectInstruction,
-    RestrictInstruction,
-    Task,
-    UnionInstruction,
-    UpdateInstruction,
-)
+from repro.direct.instructions import Instruction, JoinInstruction, Task, UnaryInstruction
 from repro.direct.scheduler import Granularity, PAGE, pick_instruction
 from repro.direct.traffic import TrafficMeter
 from repro.host import MachineHost
@@ -53,12 +43,10 @@ from repro.query.tree import (
     AppendNode,
     DeleteNode,
     JoinNode,
-    ProjectNode,
     QueryNode,
     QueryTree,
     RestrictNode,
     ScanNode,
-    UnionNode,
     UpdateNode,
 )
 from repro.sim.resources import Resource, checked_utilization
@@ -216,42 +204,10 @@ class DirectMachine(MachineHost):
             )
 
     def _compile_node(self, node: QueryNode, tree: QueryTree) -> Instruction:
-        if isinstance(node, RestrictNode):
-            return RestrictInstruction(
-                node, tree, node.child.output_schema(self.catalog), self.page_bytes
-            )
-        if isinstance(node, ProjectNode):
-            return ProjectInstruction(
-                node, tree, node.child.output_schema(self.catalog), self.page_bytes
-            )
+        schemas = [child.output_schema(self.catalog) for child in self._operand_children(node)]
         if isinstance(node, JoinNode):
-            return JoinInstruction(
-                node,
-                tree,
-                node.outer.output_schema(self.catalog),
-                node.inner.output_schema(self.catalog),
-                self.page_bytes,
-            )
-        if isinstance(node, UnionNode):
-            return UnionInstruction(
-                node, tree, node.children[0].output_schema(self.catalog), self.page_bytes
-            )
-        if isinstance(node, AppendNode):
-            return AppendInstruction(
-                node, tree, node.child.output_schema(self.catalog), self.page_bytes
-            )
-        if isinstance(node, DeleteNode):
-            return DeleteInstruction(
-                node, tree, self.catalog.get(node.target_relation).schema, self.page_bytes
-            )
-        if isinstance(node, UpdateNode):
-            return UpdateInstruction(
-                node, tree, self.catalog.get(node.target_relation).schema, self.page_bytes
-            )
-        raise MachineError(
-            f"the DIRECT simulator does not execute {node.opcode!r} nodes; "
-            f"use the reference interpreter or the ring machine"
-        )
+            return JoinInstruction(node, tree, schemas[0], schemas[1], self.page_bytes)
+        return UnaryInstruction(node, tree, schemas[0], self.page_bytes)
 
     def _operand_children(self, node: QueryNode) -> Sequence[QueryNode]:
         """Operand producers for ``node``.
@@ -461,19 +417,17 @@ class DirectMachine(MachineHost):
             self._charge_tuple_traffic(instr, rows_in, task.page)
 
         def computed() -> None:
-            rows_out = instr.compute(task)
+            rows_out = instr.kernel(task.page.payload)
             self._emit_rows(proc, instr, rows_out, lambda: self._finish_task(proc, task))
 
         self._charge(proc, cpu, computed, query=instr.query.name)
 
     def _unary_cpu_ms(self, instr: Instruction, rows: int) -> float:
-        if isinstance(instr, (RestrictInstruction, DeleteInstruction, UpdateInstruction)):
+        if isinstance(instr.node, (RestrictNode, DeleteNode, UpdateNode)):
             # Delete/update kernels are a predicate pass over the page,
             # the same work profile as restrict.
             return self.model.restrict_cpu_ms(rows)
-        if isinstance(instr, (ProjectInstruction, UnionInstruction, AppendInstruction)):
-            return self.model.project_cpu_ms(rows)
-        raise MachineError(f"no unary cost model for {type(instr).__name__}")
+        return self.model.project_cpu_ms(rows)
 
     def _join_step(self, proc: _Processor, task: Task) -> None:
         instr: JoinInstruction = task.instruction
@@ -522,7 +476,7 @@ class DirectMachine(MachineHost):
         self, proc: _Processor, task: Task, instr: JoinInstruction, inner_ref: PageRef
     ) -> None:
         """One outer-page x inner-page step has finished its service time."""
-        rows = instr.compute_pair(task, inner_ref)
+        rows = instr.kernel(task.page.payload, inner_ref.key, inner_ref.payload)
         task.seen_inner.add(inner_ref.key)
         if instr.inner_page_consumed(inner_ref):
             if _is_base(inner_ref):
@@ -596,7 +550,7 @@ class DirectMachine(MachineHost):
         instr.assigned_processors -= 1
         # "Done" control packet back to the controller.
         self.meter.add(tlevels.CONTROL, self.model.packet_overhead_bytes)
-        if instr.input_page_consumed(task.page) and not _is_base(task.page):
+        if not _is_base(task.page):
             self._drop_intermediate(task.page)
         self._check_completion(instr)
         self._release_processor(proc)
@@ -617,12 +571,12 @@ class DirectMachine(MachineHost):
         rows,
         then: Callable[[], None],
     ) -> None:
-        """Push result rows into the assembler; write out completed pages.
+        """Pack result rows into the instruction's pages; write out completed pages.
 
         The producing processor pays write time per completed page; the
         cache write and consumer announcement proceed asynchronously.
         """
-        completed = instr.assembler.add_rows(rows) if rows else []
+        completed = instr.emit(rows) if rows else []
         if not completed:
             then()
             return
@@ -727,7 +681,7 @@ class DirectMachine(MachineHost):
         if self._pending_writes[id(instr)] != 0 or not instr.is_complete():
             return
         self._finishing[id(instr)] = True
-        final = instr.assembler.flush()
+        final = instr.flush()
         if final is None:
             self._complete(instr)
             return
@@ -783,7 +737,7 @@ class DirectMachine(MachineHost):
             result = Relation(f"{name}.result", instr.output_schema, page_bytes=self.page_bytes)
             for ref in instr.produced_pages:
                 result.append_page(ref.payload)
-            result_rows = instr.assembler.rows_emitted
+            result_rows = result.cardinality
         self._results[name] = result
         # The host drains the result; its pages leave the machine.
         for ref in instr.produced_pages:

@@ -19,7 +19,7 @@ partial pages are *compressed* into full pages by the receiving IC.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import PageError
 from repro.relational.schema import Row, Schema
@@ -231,6 +231,59 @@ class Page:
 def page_capacity(schema: Schema, page_bytes: int) -> int:
     """Records a page of ``page_bytes`` holds, without building one."""
     return (page_bytes - _HEADER.size) // schema.record_width
+
+
+class PageAssembler:
+    """Packs a stream of result rows densely into full pages of one schema.
+
+    Every machine sends its results on in full pages (Section 4.2: as
+    pages "arrive, they are compressed to form full pages"): :meth:`add`
+    returns the pages the new rows complete, :meth:`flush` the final
+    partial page.  The rows come out of the page kernels or off shipped
+    pages, so they go onto pages unchecked (:meth:`Page.extend_unchecked`).
+    """
+
+    __slots__ = ("schema", "page_bytes", "_capacity", "_rows")
+
+    def __init__(self, schema: Schema, page_bytes: int):
+        self.schema = schema
+        self.page_bytes = page_bytes
+        self._capacity = page_capacity(schema, page_bytes)
+        self._rows: List[Row] = []
+
+    def __len__(self) -> int:
+        """Rows buffered toward the next page."""
+        return len(self._rows)
+
+    def add(self, rows: Sequence[Row]) -> List[Page]:
+        """Buffer ``rows``; return the full pages they complete, in order."""
+        buffer = self._rows
+        buffer.extend(rows)
+        capacity = self._capacity
+        if len(buffer) < capacity:
+            return []
+        pages: List[Page] = []
+        start = 0
+        while len(buffer) - start >= capacity:
+            page = Page(self.schema, self.page_bytes)
+            page.extend_unchecked(buffer[start : start + capacity])
+            pages.append(page)
+            start += capacity
+        del buffer[:start]
+        return pages
+
+    def flush(self) -> Optional[Page]:
+        """The final partial page of the buffered rows, or None if empty."""
+        if not self._rows:
+            return None
+        page = Page(self.schema, self.page_bytes)
+        page.extend_unchecked(self._rows)  # never overflows: add drains full pages
+        self._rows = []
+        return page
+
+    def discard(self) -> None:
+        """Drop the buffered rows (their producer failed or was aborted)."""
+        self._rows = []
 
 
 def pack_rows_into_pages(

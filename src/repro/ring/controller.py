@@ -21,24 +21,14 @@ Each IC controls the execution of one instruction from a query tree
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MachineError
 from repro.direct.cache import PageRef
-from repro.direct.exec_model import Probe, equijoin_probe, join_pages, probe_join
-from repro.relational.page import Page
+from repro.relational.kernels import compile_kernel
+from repro.relational.page import Page, PageAssembler
 from repro.relational.schema import Row, Schema
-from repro.query.tree import (
-    AppendNode,
-    DeleteNode,
-    JoinNode,
-    ProjectNode,
-    QueryNode,
-    QueryTree,
-    RestrictNode,
-    UnionNode,
-    UpdateNode,
-)
+from repro.query.tree import JoinNode, ProjectNode, QueryNode, QueryTree, UnionNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.ring.machine import RingMachine
@@ -51,39 +41,21 @@ class OperandState:
     def __init__(self, name: str, schema: Schema, page_bytes: int, is_base: bool):
         self.name = name
         self.schema = schema
-        self.page_bytes = page_bytes
         self.is_base = is_base
         self.pages: List[PageRef] = []
         self.complete = False
-        self.rows_received = 0
-        self._buffer: List[Row] = []
-        self._capacity = Page(schema, page_bytes).capacity
+        self._arriving = PageAssembler(schema, page_bytes)
 
     def add_rows(self, rows: List[Row]) -> List[Page]:
         """Compress arriving result rows; return any pages completed."""
         if self.complete:
             raise MachineError(f"operand {self.name!r} received rows after completion")
-        self._buffer.extend(rows)
-        self.rows_received += len(rows)
-        completed: List[Page] = []
-        while len(self._buffer) >= self._capacity:
-            completed.append(self._make_page(self._buffer[: self._capacity]))
-            del self._buffer[: self._capacity]
-        return completed
+        return self._arriving.add(rows)
 
     def finish(self) -> Optional[Page]:
         """Producer done: flush the final partial page, mark complete."""
         self.complete = True
-        if not self._buffer:
-            return None
-        page = self._make_page(self._buffer)
-        self._buffer = []
-        return page
-
-    def _make_page(self, rows: List[Row]) -> Page:
-        page = Page(self.schema, self.page_bytes)
-        page.extend_unchecked(rows)  # arriving rows came off shipped pages
-        return page
+        return self._arriving.flush()
 
     @property
     def page_count(self) -> int:
@@ -130,9 +102,6 @@ class InstructionController:
         # order (should any appear later) never depends on PYTHONHASHSEED.
         self.broadcast_inflight: Dict[int, None] = {}
         self.pending_inner_requests: Dict[int, List["InstructionProcessor"]] = {}
-        #: Equijoin probes shared by this IC's IPs: inner page number ->
-        #: (the page probed, its probe).  Kept until the IC completes.
-        self._probes: Dict[int, Tuple[Page, Probe]] = {}
 
         # Fault tolerance (requirement 5): a watchdog per dispatched unit.
         # Maps ip_id -> (watchdog event, requeue closure).
@@ -160,86 +129,18 @@ class InstructionController:
         self.completed_at: Optional[float] = None
         self.rows_emitted_to_consumer = 0
 
-        self._setup_kernel()
-
-    # ------------------------------------------------------------------ kernels
-
-    def _setup_kernel(self) -> None:
-        node = self.node
-        model = self.machine.model
-        if isinstance(node, RestrictNode):
-            test = node.predicate.compile(self.operands[0].schema)
-            self.unary_kernel = lambda ip_id, page: [r for r in page.rows() if test(r)]
-            self.unary_cpu_ms = lambda rows: model.restrict_cpu_ms(rows)
-        elif isinstance(node, DeleteNode):
-            test = node.predicate.compile(self.operands[0].schema)
-            self.unary_kernel = lambda ip_id, page: [r for r in page.rows() if not test(r)]
-            self.unary_cpu_ms = lambda rows: model.restrict_cpu_ms(rows)
-        elif isinstance(node, UpdateNode):
-            apply = node.compile_apply(self.operands[0].schema)
-            self.unary_kernel = lambda ip_id, page: [apply(r) for r in page.rows()]
-            self.unary_cpu_ms = lambda rows: model.restrict_cpu_ms(rows)
-        elif isinstance(node, AppendNode):
-            self.unary_kernel = lambda ip_id, page: list(page.rows())
-            self.unary_cpu_ms = lambda rows: model.restrict_cpu_ms(rows)
-        elif isinstance(node, ProjectNode):
-            indices = [self.operands[0].schema.index_of(a) for a in node.attributes]
-            seen: Set[Row] = set()
-            dedup = node.eliminate_duplicates
-
-            def project_kernel(ip_id: int, page: Page) -> List[Row]:
-                out: List[Row] = []
-                for row in page.rows():
-                    cut = tuple(row[i] for i in indices)
-                    if dedup:
-                        if cut in seen:
-                            continue
-                        seen.add(cut)
-                    out.append(cut)
-                return out
-
-            self.unary_kernel = project_kernel
-            self.unary_cpu_ms = lambda rows: model.project_cpu_ms(rows)
-        elif isinstance(node, UnionNode):
-            seen_union: Set[Row] = set()
-
-            def union_kernel(ip_id: int, page: Page) -> List[Row]:
-                out: List[Row] = []
-                for row in page.rows():
-                    if row not in seen_union:
-                        seen_union.add(row)
-                        out.append(row)
-                return out
-
-            self.unary_kernel = union_kernel
-            self.unary_cpu_ms = lambda rows: model.project_cpu_ms(rows)
-        elif isinstance(node, JoinNode):
-            self.join_condition = node.condition
-            self.join_outer_index = self.operands[0].schema.index_of(node.condition.outer_attr)
-            self.join_inner_index = self.operands[1].schema.index_of(node.condition.inner_attr)
-        else:
-            raise MachineError(f"ring machine cannot control {node.opcode!r} nodes")
-
-    def join_page_pair(self, outer_page: Page, inner_page: Page, inner_number: int) -> List[Row]:
-        """One IP's outer page x inner page ``inner_number`` (row-exact).
-
-        An equijoin reuses the inner page's probe across IPs.  The probe
-        is rebuilt if a different page object arrives under the same
-        number (missed-page recovery may resend it).
-        """
-        if not self.join_condition.is_equijoin:
-            return join_pages(
-                outer_page,
-                inner_page,
-                self.join_condition,
-                self.join_outer_index,
-                self.join_inner_index,
-            )
-        cached = self._probes.get(inner_number)
-        if cached is None or cached[0] is not inner_page:
-            cached = (inner_page, equijoin_probe(inner_page, self.join_inner_index))
-            self._probes[inner_number] = cached
-        return probe_join(outer_page, cached[1], self.join_outer_index)
+        #: The node's shared kernel.  A join's is shared by this IC's IPs;
+        #: its equijoin probes are kept by inner page number until the IC
+        #: completes or aborts.
+        self.kernel = compile_kernel(node, [op.schema for op in self.operands])
+        model = machine.model
+        self.unary_cpu_ms: Callable[[int], float] = (
+            # Project and union hash every row for duplicate elimination;
+            # every other unary instruction is charged as a restrict.
+            model.project_cpu_ms
+            if isinstance(node, (ProjectNode, UnionNode))
+            else model.restrict_cpu_ms
+        )
 
     @property
     def is_join(self) -> bool:
@@ -290,7 +191,6 @@ class InstructionController:
         operand = self.operands[operand_index]
         if operand.complete:
             raise MachineError(f"operand {operand.name!r} received a page after completion")
-        operand.rows_received += page.row_count
         index = operand.page_count
         ref = PageRef(
             key=f"ic{self.ic_id}.op{operand_index}:{index}",
@@ -671,7 +571,8 @@ class InstructionController:
         self.want_outstanding = 0
         self.broadcast_inflight = {}
         self.pending_inner_requests = {}
-        self._probes = {}
+        if self.is_join:
+            self.kernel.clear()
         self._flushes_outstanding = 0
         return orphans
 
@@ -697,7 +598,8 @@ class InstructionController:
             return
         self.done = True
         self.completed_at = self.machine.sim.now
-        self._probes = {}
+        if self.is_join:
+            self.kernel.clear()
         probe = self.machine.sim.probe
         if probe is not None:
             probe.instruction_end(

@@ -24,8 +24,8 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MachineError
-from repro.relational.page import Page, page_capacity
-from repro.relational.schema import Row, Schema
+from repro.relational.page import Page, PageAssembler
+from repro.relational.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.ring.controller import InstructionController
@@ -57,9 +57,11 @@ class InstructionProcessor:
         self._inflight_charges: Dict[int, Tuple[float, float]] = {}
         self._charge_ids = itertools.count()
 
-        # Result buffer (persists across packets of one assignment).
-        self._result_rows: List[Row] = []
-        self._result_schema: Optional[Schema] = None
+        # Result buffer (persists across packets of one assignment), and
+        # the full pages a fault-tolerant join holds until its outer page's
+        # IRC vector completes.
+        self._results: Optional[PageAssembler] = None
+        self._held: List[Page] = []
 
         # Join state: the paper's IRC vector and the held outer page.
         self._outer_page: Optional[Page] = None
@@ -83,18 +85,18 @@ class InstructionProcessor:
         if self.owner is not None:
             raise MachineError(f"IP{self.ip_id} is already owned by IC{self.owner.ic_id}")
         self.owner = ic
-        self._result_schema = result_schema
-        self._result_rows = []
+        self._results = PageAssembler(result_schema, ic.page_bytes)
+        self._held = []
         self._reset_join_state()
 
     def release(self) -> None:
         """Return to the MC pool (the IC has sent RELEASE_IP)."""
-        if self._result_rows:
+        if self._held or (self._results is not None and len(self._results)):
             raise MachineError(f"IP{self.ip_id} released with unflushed result rows")
         self._settle_inflight_charges()
         self._epoch += 1
         self.owner = None
-        self._result_schema = None
+        self._results = None
         self._reset_join_state()
 
     def abort_assignment(self) -> None:
@@ -109,8 +111,8 @@ class InstructionProcessor:
         self._epoch += 1
         self.busy = False
         self.owner = None
-        self._result_schema = None
-        self._result_rows = []
+        self._discard_results()
+        self._results = None
         self._reset_join_state()
 
     def _reset_join_state(self) -> None:
@@ -135,17 +137,15 @@ class InstructionProcessor:
 
     def _unary_done(self, page: Page, flush_when_done: bool) -> None:
         ic = self._require_owner()
-        rows = ic.unary_kernel(self.ip_id, page)
-        self._result_rows.extend(rows)
+        full = self._results.add(ic.kernel(page))
         self.packets_executed += 1
         if self.machine.fault_tolerant:
             # Unit-atomic shipping: everything leaves with this packet, so
             # a re-executed packet can never duplicate shipped rows.
+            self._held.extend(full)
             self._flush_results(lambda: self._finish_packet(flush_when_done=False))
             return
-        self._ship_full_pages(
-            lambda: self._finish_packet(flush_when_done)
-        )
+        self._send_pages(full, lambda: self._finish_packet(flush_when_done))
 
     # ------------------------------------------------------------------ join packets
 
@@ -209,15 +209,15 @@ class InstructionProcessor:
 
     def _join_done(self, inner_page: Page, inner_index: int) -> None:
         ic = self._require_owner()
-        rows = ic.join_page_pair(self._outer_page, inner_page, inner_index)
-        self._result_rows.extend(rows)
+        full = self._results.add(ic.kernel(self._outer_page, inner_index, inner_page))
         self._irc_seen[inner_index] = None
         self.packets_executed += 1
         if self.machine.fault_tolerant:
             # Hold everything until the outer page's IRC completes.
+            self._held.extend(full)
             self._advance_join()
         else:
-            self._ship_full_pages(self._advance_join)
+            self._send_pages(full, self._advance_join)
 
     def _advance_join(self) -> None:
         """Examine the IRC vector; request the next hole or finish the outer."""
@@ -265,30 +265,20 @@ class InstructionProcessor:
         else:
             self.machine.ip_to_ic_done(self, ic)
 
-    def _ship_full_pages(self, then: Callable[[], None]) -> None:
-        """Send any full result pages toward the destination IC."""
-        ic = self._require_owner()
-        capacity = page_capacity(self._result_schema, ic.page_bytes)
-        pages: List[Page] = []
-        while len(self._result_rows) >= capacity:
-            page = Page(self._result_schema, ic.page_bytes)
-            page.extend_unchecked(self._result_rows[:capacity])
-            del self._result_rows[:capacity]
-            pages.append(page)
-        self._send_pages(pages, then)
-
     def _flush_results(self, then: Callable[[], None]) -> None:
         """Ship everything, including a final partial page."""
-        ic = self._require_owner()
-        pages: List[Page] = []
-        capacity = page_capacity(self._result_schema, ic.page_bytes)
-        while self._result_rows:
-            take = min(capacity, len(self._result_rows))
-            page = Page(self._result_schema, ic.page_bytes)
-            page.extend_unchecked(self._result_rows[:take])
-            del self._result_rows[:take]
-            pages.append(page)
+        self._require_owner()
+        pages, self._held = self._held, []
+        final = self._results.flush()
+        if final is not None:
+            pages.append(final)
         self._send_pages(pages, then)
+
+    def _discard_results(self) -> None:
+        """Drop every buffered result row: they die with the assignment."""
+        self._held = []
+        if self._results is not None:
+            self._results.discard()
 
     def _send_pages(self, pages: List[Page], then: Callable[[], None]) -> None:
         if not pages:
@@ -354,7 +344,7 @@ class InstructionProcessor:
         self._settle_inflight_charges()
         self.failed = True
         self.busy = False
-        self._result_rows = []
+        self._discard_results()
         self._reset_join_state()
 
     def __repr__(self) -> str:

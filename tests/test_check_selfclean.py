@@ -64,6 +64,14 @@ def test_cli_check_json_output(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "R001"
 
 
+def test_cli_check_missing_path_is_a_clean_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "path")
+    assert main(["check", str(SRC), missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"repro check: no such file or directory: {missing}"
+
+
 def test_cli_check_self_test_passes(capsys):
     assert main(["check", "--self-test"]) == 0
     assert "self-test OK" in capsys.readouterr().out

@@ -51,11 +51,13 @@ class TestOperandSlot:
 class TestCellEnabling:
     def make_restrict_cell(self):
         node = RestrictNode(ScanNode("ra"), attr("g") == 1)
-        return Cell(node, [("in", PAIR)], PAIR)
+        return Cell(node, [("in", PAIR)], PAIR, 128)
 
     def make_join_cell(self):
         node = JoinNode(ScanNode("ra"), ScanNode("rb"), attr("g").equals_attr("g"))
-        return Cell(node, [("outer", PAIR), ("inner", PAIR)], PAIR.concat_unique(PAIR))
+        return Cell(
+            node, [("outer", PAIR), ("inner", PAIR)], PAIR.concat_unique(PAIR), 128
+        )
 
     def test_page_level_enables_on_first_page(self):
         cell = self.make_restrict_cell()

@@ -28,12 +28,29 @@ FIGURE_3_1 = [
 ]
 
 
+#: One quick render per machine family that runs the shared page kernels:
+#: the data-flow machine (E6), the ring machine and DIRECT (E10), the
+#: project/union seen-sets (E11), and all three under crashes (E17).
+KERNEL_RENDERS = ("dataflow", "ring_vs_direct", "project", "recovery")
+
+RENDER_SCRIPT = (
+    "import sys\n"
+    "from repro.check.identity import render_experiment\n"
+    "for name in sys.argv[1:]:\n"
+    "    print(render_experiment(name))\n"
+)
+
+
 def run_cli(args, hashseed):
+    return run_python(["-m", "repro", *args], hashseed)
+
+
+def run_python(args, hashseed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hashseed)
     env["PYTHONPATH"] = str(REPO / "src")
     result = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *args],
         cwd=REPO,
         env=env,
         capture_output=True,
@@ -60,3 +77,8 @@ def test_figure_3_1_sanitized_is_hashseed_invariant_and_identical():
 def test_workload_database_is_hashseed_invariant():
     args = ["workload", "--scale", "0.05"]
     assert run_cli(args, hashseed="0") == run_cli(args, hashseed="99")
+
+
+def test_every_machines_quick_render_is_hashseed_invariant():
+    args = ["-c", RENDER_SCRIPT, *KERNEL_RENDERS]
+    assert run_python(args, hashseed="0") == run_python(args, hashseed="1")

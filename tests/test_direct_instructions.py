@@ -1,15 +1,9 @@
-"""Runtime instruction objects: tasks, operand tables, output assembly."""
+"""Runtime instruction objects: tasks, operand tables, keyed result pages."""
 
 import pytest
 
 from repro.direct.cache import PageRef
-from repro.direct.instructions import (
-    JoinInstruction,
-    OperandTable,
-    OutputAssembler,
-    RestrictInstruction,
-    Task,
-)
+from repro.direct.instructions import JoinInstruction, OperandTable, UnaryInstruction
 from repro.errors import MachineError
 from repro.relational.page import Page
 from repro.relational.predicate import attr
@@ -30,7 +24,7 @@ def ref(key, rows, on_disk=False):
 def make_restrict():
     node = RestrictNode(ScanNode("r"), attr("g") == 1)
     tree = scan("r").tree("q")
-    return RestrictInstruction(node, tree, PAIR, page_bytes=128)
+    return UnaryInstruction(node, tree, PAIR, page_bytes=128)
 
 
 def make_join():
@@ -44,39 +38,44 @@ class TestOperandTable:
         table = OperandTable("in", PAIR)
         table.add_page(ref("p0", [(1, 1)]))
         assert table.page_count == 1
-        assert table.total_rows == 1
         table.mark_complete()
         with pytest.raises(MachineError):
             table.add_page(ref("p1", [(2, 2)]))
 
 
 class TestOutputAssembler:
+    """An instruction packs its result rows into full, keyed pages."""
+
     def test_buffers_until_page_full(self):
-        asm = OutputAssembler("q.n1", PAIR, page_bytes=128)
+        instr = make_restrict()
         capacity = Page(PAIR, 128).capacity
-        pages = asm.add_rows([(i, i) for i in range(capacity - 1)])
+        pages = instr.emit([(i, i) for i in range(capacity - 1)])
         assert pages == []
-        pages = asm.add_rows([(99, 99)])
+        pages = instr.emit([(99, 99)])
         assert len(pages) == 1
         assert pages[0].row_count == capacity
 
     def test_flush_emits_partial(self):
-        asm = OutputAssembler("q.n1", PAIR, page_bytes=128)
-        asm.add_rows([(1, 1)])
-        final = asm.flush()
+        instr = make_restrict()
+        instr.emit([(1, 1)])
+        final = instr.flush()
         assert final is not None and final.row_count == 1
-        assert asm.flush() is None
+        assert instr.flush() is None
 
     def test_keys_are_sequential(self):
-        asm = OutputAssembler("q.n1", PAIR, page_bytes=128)
+        instr = make_restrict()
         capacity = Page(PAIR, 128).capacity
-        pages = asm.add_rows([(i, i) for i in range(capacity * 2)])
-        assert [p.key for p in pages] == ["q.n1:0", "q.n1:1"]
+        pages = instr.emit([(i, i) for i in range(capacity * 2)])
+        prefix = f"q{instr.query.query_id}.n{instr.node.node_id}"
+        assert [p.key for p in pages] == [f"{prefix}:0", f"{prefix}:1"]
+        assert [p.disk_id for p in pages] == [0, 1]
 
     def test_rows_emitted_counter(self):
-        asm = OutputAssembler("q.n1", PAIR, page_bytes=128)
-        asm.add_rows([(1, 1), (2, 2)])
-        assert asm.rows_emitted == 2
+        instr = make_restrict()
+        full = instr.emit([(1, 1), (2, 2)])
+        final = instr.flush()
+        assert sum(ref.row_count for ref in full + [final]) == 2
+        assert list(final.payload.rows()) == [(1, 1), (2, 2)]
 
 
 class TestRestrictInstruction:
@@ -85,7 +84,7 @@ class TestRestrictInstruction:
         instr.operand_page_arrived(0, ref("p0", [(1, 1), (2, 0)]))
         assert instr.has_dispatchable()
         task = instr.pop_task()
-        assert instr.compute(task) == [(1, 1)]
+        assert instr.kernel(task.page.payload) == [(1, 1)]
 
     def test_not_complete_until_operand_complete(self):
         instr = make_restrict()
@@ -130,7 +129,7 @@ class TestJoinInstruction:
         instr.operand_page_arrived(0, outer)
         instr.operand_page_arrived(1, inner)
         task = instr.pop_task()
-        rows = instr.compute_pair(task, inner)
+        rows = instr.kernel(task.page.payload, inner.key, inner.payload)
         assert rows == [(1, 5, 3, 5)]
 
     def test_next_unseen_inner_tracks_task_state(self):
@@ -177,8 +176,3 @@ class TestJoinInstruction:
         assert not instr.pending
         instr.operand_page_arrived(1, ref("i1", [(2, 2)]))  # triggers unpark
         assert list(instr.pending) == [task]
-
-    def test_task_is_join_flag(self):
-        join_task = Task(make_join(), ref("o", [(1, 1)]))
-        unary_task = Task(make_restrict(), ref("p", [(1, 1)]))
-        assert join_task.is_join and not unary_task.is_join

@@ -4,8 +4,10 @@ import pytest
 
 from repro import hw
 from repro.direct import traffic as tl
-from repro.direct.exec_model import ExecModel, join_pages, project_rows, restrict_page
+from repro.direct.exec_model import ExecModel
 from repro.direct.traffic import TrafficMeter
+from repro.query.tree import ProjectNode, RestrictNode, ScanNode
+from repro.relational.kernels import compile_kernel, join_pages
 from repro.relational.page import Page
 from repro.relational.predicate import CompareOp, attr
 from repro.relational.schema import DataType, Schema
@@ -65,8 +67,8 @@ def make_page(rows):
 class TestKernels:
     def test_restrict_page(self):
         page = make_page([(i, i % 2) for i in range(10)])
-        test = (attr("g") == 0).compile(SCHEMA)
-        assert len(restrict_page(page, test)) == 5
+        restrict = compile_kernel(RestrictNode(ScanNode("r"), attr("g") == 0), [SCHEMA])
+        assert len(restrict(page)) == 5
 
     def test_join_pages_equijoin_equals_nested(self):
         a = make_page([(i, i % 3) for i in range(9)])
@@ -84,7 +86,10 @@ class TestKernels:
         assert len(out) == 2 + 1
 
     def test_project_rows(self):
-        assert project_rows([(1, 2), (3, 4)], [1]) == [(2,), (4,)]
+        cut = compile_kernel(
+            ProjectNode(ScanNode("r"), ["g"], eliminate_duplicates=False), [SCHEMA]
+        )
+        assert cut(make_page([(1, 2), (3, 4), (5, 4)])) == [(2,), (4,), (4,)]
 
 
 class TestTrafficMeter:

@@ -1,29 +1,43 @@
-"""Equijoin probes: built once per inner page, reused exactly, NaN-safe.
+"""Shared page kernels and equijoin probes: row-exact, reused, NaN-safe.
 
-The machines build each inner page's hash probe once and reuse it for
-every outer page that meets the page.  Reuse must not change a single
+Every machine runs the kernels of :mod:`repro.relational.kernels`.  Each
+opcode's kernel is checked against the interpreter's operators on random
+pages.  The machines build each inner page's hash probe once and reuse it
+for every outer page that meets the page.  Reuse must not change a single
 result row or its position: each machine's ordered result is compared
 with the same machine run on reference kernels that evaluate every page
 pair by nested loops.
 """
 
-from types import SimpleNamespace
+import random
 
 import pytest
 
+from repro.dataflow.cell import Cell
 from repro.dataflow.machine import DataflowMachine
-from repro.direct import exec_model, instructions, scheduler
+from repro.direct import instructions, scheduler
 from repro.direct.cache import PageRef
-from repro.direct.exec_model import equijoin_probe, join_pages, probe_join
 from repro.direct.machine import DirectMachine
+from repro.experiments import EXPERIMENTS
 from repro.query import execute
 from repro.query.builder import scan
+from repro.query.tree import (
+    AppendNode,
+    DeleteNode,
+    JoinNode,
+    ProjectNode,
+    RestrictNode,
+    ScanNode,
+    UnionNode,
+    UpdateNode,
+)
+from repro.relational import kernels, operators
 from repro.relational.catalog import Catalog
+from repro.relational.kernels import compile_kernel, equijoin_probe, join_pages, probe_join
 from repro.relational.page import Page
 from repro.relational.predicate import CompareOp, JoinCondition, attr
 from repro.relational.relation import Relation
 from repro.relational.schema import DataType, Schema
-from repro.ring import controller
 from repro.ring.controller import InstructionController
 from repro.ring.machine import RingMachine
 
@@ -97,9 +111,8 @@ def reference_probe_join(outer_page, probe, outer_index):
 
 
 def use_reference_kernels(monkeypatch):
-    for module in (exec_model, instructions, controller):
-        monkeypatch.setattr(module, "equijoin_probe", reference_probe)
-        monkeypatch.setattr(module, "probe_join", reference_probe_join)
+    monkeypatch.setattr(kernels, "equijoin_probe", reference_probe)
+    monkeypatch.setattr(kernels, "probe_join", reference_probe_join)
 
 
 def run(machine_name, tree, cat):
@@ -123,7 +136,7 @@ def test_probe_reuse_matches_nested_loops_row_for_row(machine_name, query, monke
 
 def test_direct_reuses_probes_and_frees_them_at_completion(monkeypatch):
     builds, joins, finished = [], [], []
-    real_build, real_join = instructions.equijoin_probe, instructions.probe_join
+    real_build, real_join = kernels.equijoin_probe, kernels.probe_join
     real_complete = instructions.JoinInstruction.complete
 
     def counting_build(page, index):
@@ -138,8 +151,8 @@ def test_direct_reuses_probes_and_frees_them_at_completion(monkeypatch):
         real_complete(self, now)
         finished.append(self)
 
-    monkeypatch.setattr(instructions, "equijoin_probe", counting_build)
-    monkeypatch.setattr(instructions, "probe_join", counting_join)
+    monkeypatch.setattr(kernels, "equijoin_probe", counting_build)
+    monkeypatch.setattr(kernels, "probe_join", counting_join)
     monkeypatch.setattr(instructions.JoinInstruction, "complete", complete)
     cat = catalog()
     inner_pages = cat.get("i").page_count
@@ -150,7 +163,7 @@ def test_direct_reuses_probes_and_frees_them_at_completion(monkeypatch):
     # A pipelined outer completes after some inner pages have met every
     # outer page: their probes go when the instruction completes.
     run("direct_page", QUERIES["intermediate_outer"](), cat)
-    assert len(finished) == 2 and all(not instr.probes for instr in finished)
+    assert len(finished) == 2 and all(not instr.kernel.probes for instr in finished)
 
 
 def test_direct_probe_of_a_page_met_before_the_outer_completes_goes_at_completion():
@@ -161,32 +174,59 @@ def test_direct_probe_of_a_page_met_before_the_outer_completes_goes_at_completio
     join.operand_page_arrived(0, outer)
     join.operand_page_arrived(1, inner)
     task = join.pop_task()
-    assert join.compute_pair(task, inner) == [(1, 0, 1, 10)]
+    assert join.kernel(task.page.payload, inner.key, inner.payload) == [(1, 0, 1, 10)]
     # Every outer page so far has met the inner page, but more may follow.
     assert not join.inner_page_consumed(inner)
-    assert list(join.probes) == ["i:0"]
+    assert list(join.kernel.probes) == ["i:0"]
     join.operand_completed(0)
     join.complete(now=1.0)
-    assert join.probes == {}
+    assert join.kernel.probes == {}
 
 
 def test_ring_probe_follows_the_page_it_was_built_from():
     # Missed-page recovery may deliver a different page object under the
     # same inner page number; the IC must not join it with a stale probe.
-    ic = SimpleNamespace(
-        join_condition=JoinCondition("k", CompareOp.EQ, "k"),
-        join_outer_index=0,
-        join_inner_index=0,
-        _probes={},
+    tree = QUERIES["base_inner"]()
+    machine = RingMachine(catalog(), processors=3, controllers=8, page_bytes=PAGE_BYTES)
+    ic = InstructionController(
+        machine, 1, tree.root, tree, [("o", OUTER, True), ("i", INNER, True)],
+        OUTER.concat_unique(INNER),
     )
     outer = page_of(OUTER, [(1, 0), (2, 1)])
     first = page_of(INNER, [(1, 10)])
     other = page_of(INNER, [(2, 20)])
-    join = InstructionController.join_page_pair
-    assert join(ic, outer, first, 0) == [(1, 0, 1, 10)]
-    assert join(ic, outer, first, 0) == [(1, 0, 1, 10)]
-    assert join(ic, outer, other, 0) == [(2, 1, 2, 20)]
-    assert len(ic._probes) == 1
+    assert ic.kernel(outer, 0, first) == [(1, 0, 1, 10)]
+    assert ic.kernel(outer, 0, first) == [(1, 0, 1, 10)]
+    assert ic.kernel(outer, 0, other) == [(2, 1, 2, 20)]
+    assert len(ic.kernel.probes) == 1
+    ic.abort()
+    assert ic.kernel.probes == {}
+
+
+def test_dataflow_builds_one_probe_per_inner_page_per_cell(monkeypatch):
+    # E6's quick run: each join cell probes an inner page once, however
+    # many outer pages (firings) meet it.
+    builds, met = [], {}
+    real_build, real_execute = kernels.equijoin_probe, Cell.execute
+
+    def counting_build(page, index):
+        builds.append(page)
+        return real_build(page, index)
+
+    def execute(self, unit):
+        if isinstance(self.node, JoinNode) and self.node.condition.is_equijoin:
+            if any(slot == 0 for slot, _ in unit.pages):
+                met.setdefault(self, set()).update(
+                    id(self.operands[1].pages[p]) for slot, p in unit.pages if slot == 1
+                )
+        return real_execute(self, unit)
+
+    monkeypatch.setattr(kernels, "equijoin_probe", counting_build)
+    monkeypatch.setattr(Cell, "execute", execute)
+    row = EXPERIMENTS["dataflow"]
+    row.load().run(**row.quick)
+    assert builds
+    assert len(builds) == sum(len(pages) for pages in met.values())
 
 
 # -- page kernels ---------------------------------------------------------------
@@ -219,6 +259,107 @@ def test_probe_holds_no_nan_key():
     probe = equijoin_probe(page, 0)
     assert list(probe) == [1.0]
     assert probe_join(page, probe, 0) == [(1.0, 1, 1.0, 1)]
+
+
+# -- every opcode's kernel against the interpreter --------------------------------
+
+MIXED = Schema.build(("k", DataType.INT), ("x", DataType.FLOAT), ("g", DataType.INT))
+
+
+def random_relation(rng, name, count):
+    # Small domains: duplicate rows and keys on and across pages, NaN keys
+    # (one shared NaN object, which a dict probe would match to itself).
+    rows = [
+        (rng.randrange(4), rng.choice([0.5, 1.0, 2.5, NAN]), rng.randrange(3))
+        for _ in range(count)
+    ]
+    return Relation.from_rows(name, MIXED, rows, page_bytes=PAGE_BYTES)
+
+
+def one_page_relation(page):
+    return Relation.from_rows("p", page.schema, list(page.rows()), page_bytes=4096)
+
+
+#: opcode -> (query node over relations "a" and "b", interpreter result).
+UNARY_CASES = {
+    "restrict": (
+        lambda: RestrictNode(ScanNode("a"), attr("g") < 2),
+        lambda a, b: operators.restrict(a, attr("g") < 2),
+    ),
+    "delete": (
+        lambda: DeleteNode("a", attr("g") < 2),
+        lambda a, b: operators.delete(a, attr("g") < 2),
+    ),
+    "update": (
+        lambda: UpdateNode("a", attr("g") == 1, "k", 3),
+        lambda a, b: operators.update(a, attr("g") == 1, "k", 3),
+    ),
+    "append": (
+        lambda: AppendNode("a", ScanNode("b")),
+        lambda a, b: operators.append(a.empty_like("t"), b),
+    ),
+    "project": (
+        lambda: ProjectNode(ScanNode("a"), ["g", "k"]),
+        lambda a, b: operators.project(a, ["g", "k"]),
+    ),
+    "project_keep_duplicates": (
+        lambda: ProjectNode(ScanNode("a"), ["g", "x"], eliminate_duplicates=False),
+        lambda a, b: operators.project(a, ["g", "x"], eliminate_duplicates=False),
+    ),
+    "union": (
+        lambda: UnionNode(ScanNode("a"), ScanNode("b")),
+        lambda a, b: operators.union(a, b),
+    ),
+}
+
+JOIN_CONDITIONS = {
+    "equijoin_nan_keys": JoinCondition("x", CompareOp.EQ, "x"),
+    "non_equijoin": JoinCondition("g", CompareOp.LT, "k"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("opcode", sorted(UNARY_CASES) + sorted(JOIN_CONDITIONS))
+def test_kernel_matches_interpreter_on_random_pages(opcode, seed):
+    rng = random.Random(seed)
+    a, b = random_relation(rng, "a", 40), random_relation(rng, "b", 30)
+    assert a.page_count > 2 and b.page_count > 2
+    if opcode in UNARY_CASES:
+        node, oracle = UNARY_CASES[opcode]
+        kernel = compile_kernel(node(), [MIXED, MIXED])
+        # The machines hand an append or a union's right operand to the
+        # same kernel as the pages arrive: one seen-set spans every page
+        # of both union operands, and a project dedups across pages.
+        pages = b.pages if opcode == "append" else a.pages
+        if opcode == "union":
+            pages = a.pages + b.pages
+        rows = [row for page in pages for row in kernel(page)]
+        assert rows == list(oracle(a, b).rows())
+        if opcode == "union":
+            assert set(a.rows()) & set(b.rows())  # the cross-operand case ran
+        return
+    condition = JOIN_CONDITIONS[opcode]
+    pair = compile_kernel(JoinNode(ScanNode("a"), ScanNode("b"), condition), [MIXED, MIXED])
+    for outer in a.pages:
+        for key, inner in enumerate(b.pages):
+            expected = operators.nested_loops_join(
+                one_page_relation(outer), one_page_relation(inner), condition
+            )
+            assert pair(outer, key, inner) == list(expected.rows())
+    # A different page object under an old key gets a fresh probe.
+    other = b.pages[1].copy()
+    other.clear()
+    other.extend_unchecked(list(a.pages[0].rows()))
+    expected = operators.nested_loops_join(
+        one_page_relation(a.pages[0]), one_page_relation(other), condition
+    )
+    assert pair(a.pages[0], 0, other) == list(expected.rows())
+    if condition.is_equijoin:
+        assert pair.probes[0][0] is other
+        pair.forget(0)
+        assert 0 not in pair.probes and len(pair.probes) == b.page_count - 1
+        pair.clear()
+        assert pair.probes == {}
 
 
 # -- NaN keys -------------------------------------------------------------------
