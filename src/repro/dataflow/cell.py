@@ -63,11 +63,6 @@ class OperandSlot:
         """Pages delivered so far."""
         return len(self.pages)
 
-    @property
-    def row_count(self) -> int:
-        """Rows delivered so far."""
-        return sum(p.row_count for p in self.pages)
-
 
 @dataclass(frozen=True)
 class FiringUnit:
@@ -79,7 +74,6 @@ class FiringUnit:
 
     cell: "Cell"
     pages: Tuple[Tuple[int, int], ...]
-    sequence: int
 
     @property
     def payload_bytes(self) -> int:
@@ -123,7 +117,6 @@ class Cell:
         self._emitted_outer = 0
         self._emitted_inner = 0
         self._relation_fired = False
-        self._fire_seq = itertools.count()
         self.firings_outstanding = 0
         self.done = False
         self._kernel = compile_kernel(node, [s for _, s in operand_schemas])
@@ -158,7 +151,7 @@ class Cell:
                     for slot_idx, slot in enumerate(self.operands)
                     for page_idx in range(slot.page_count)
                 )
-                out.append(FiringUnit(self, everything, next(self._fire_seq)))
+                out.append(FiringUnit(self, everything))
             return out
         if isinstance(self.node, JoinNode):
             outer_count = self.operands[0].page_count
@@ -166,17 +159,17 @@ class Cell:
             # New outer pages meet every inner page...
             for o in range(self._emitted_outer, outer_count):
                 for i in range(inner_count):
-                    out.append(FiringUnit(self, ((0, o), (1, i)), next(self._fire_seq)))
+                    out.append(FiringUnit(self, ((0, o), (1, i))))
             # ...and old outer pages meet only the new inner pages.
             for o in range(self._emitted_outer):
                 for i in range(self._emitted_inner, inner_count):
-                    out.append(FiringUnit(self, ((0, o), (1, i)), next(self._fire_seq)))
+                    out.append(FiringUnit(self, ((0, o), (1, i))))
             self._emitted_outer = outer_count
             self._emitted_inner = inner_count
             return out
         for slot_idx, slot in enumerate(self.operands):
             for page_idx in range(self._emitted_per_slot[slot_idx], slot.page_count):
-                out.append(FiringUnit(self, ((slot_idx, page_idx),), next(self._fire_seq)))
+                out.append(FiringUnit(self, ((slot_idx, page_idx),)))
             self._emitted_per_slot[slot_idx] = slot.page_count
         return out
 

@@ -55,10 +55,16 @@ from repro.sim.resources import Resource, checked_utilization
 class _Processor:
     """One query processor with two memory cells (execute + stage)."""
 
-    __slots__ = ("pid", "executing", "staged", "staged_ready", "busy_ms")
+    __slots__ = ("pid", "executing", "staged", "staged_ready", "busy_ms",
+                 "cpu_label", "fill_label", "inner_fill_label", "dispatch_label")
 
     def __init__(self, pid: int):
         self.pid = pid
+        # This processor's event labels (traces, sanitizer), built once.
+        self.cpu_label = f"p{pid}.cpu"
+        self.fill_label = f"p{pid}.fill"
+        self.inner_fill_label = f"p{pid}.inner-fill"
+        self.dispatch_label = f"p{pid}.dispatch"
         self.executing: Optional[Task] = None
         self.staged: Optional[Task] = None
         self.staged_ready = False
@@ -317,7 +323,7 @@ class DirectMachine(MachineHost):
             self.sim.schedule(
                 fill,
                 lambda: self._staged_filled(proc),
-                label=f"p{proc.pid}.fill",
+                label=proc.fill_label,
             )
 
         self.sim.schedule(
@@ -325,7 +331,7 @@ class DirectMachine(MachineHost):
             lambda: self._fetch_operand(
                 task.page, fetched, query=task.instruction.query.name
             ),
-            label=f"p{proc.pid}.dispatch",
+            label=proc.dispatch_label,
         )
 
     def _fetch_operand(
@@ -406,7 +412,7 @@ class DirectMachine(MachineHost):
             proc.busy_ms += delay
             then()
 
-        self.sim.schedule(delay, done, label=f"p{proc.pid}.cpu")
+        self.sim.schedule(delay, done, label=proc.cpu_label)
 
     def _unary_execute(self, proc: _Processor, task: Task) -> None:
         instr = task.instruction
@@ -468,7 +474,7 @@ class DirectMachine(MachineHost):
                 proc.busy_ms += fill
                 filled()
 
-            self.sim.schedule(fill, fill_done, label=f"p{proc.pid}.inner-fill")
+            self.sim.schedule(fill, fill_done, label=proc.inner_fill_label)
 
         self._fetch_operand(inner_ref, inner_delivered, query=instr.query.name)
 

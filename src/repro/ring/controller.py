@@ -38,10 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class OperandState:
     """Consumer-side page table plus the arriving-row compressor."""
 
-    def __init__(self, name: str, schema: Schema, page_bytes: int, is_base: bool):
+    def __init__(self, name: str, schema: Schema, page_bytes: int):
         self.name = name
         self.schema = schema
-        self.is_base = is_base
         self.pages: List[PageRef] = []
         self.complete = False
         self._arriving = PageAssembler(schema, page_bytes)
@@ -72,7 +71,7 @@ class InstructionController:
         ic_id: int,
         node: QueryNode,
         tree: QueryTree,
-        operand_specs: List[Tuple[str, Schema, bool]],
+        operand_specs: List[Tuple[str, Schema]],
         result_schema: Schema,
     ):
         self.machine = machine
@@ -84,8 +83,7 @@ class InstructionController:
         #: (consumer ic_id, operand index there); MC sentinel 0 for the root.
         self.destination: Tuple[int, int] = (0, 0)
         self.operands = [
-            OperandState(name, schema, machine.page_bytes, is_base)
-            for name, schema, is_base in operand_specs
+            OperandState(name, schema, machine.page_bytes) for name, schema in operand_specs
         ]
 
         # Work queues.

@@ -455,17 +455,17 @@ class RingMachine(MachineHost):
     def _operand_children(self, node: QueryNode) -> Sequence[QueryNode]:
         return node.children
 
-    def _operand_specs(self, node: QueryNode) -> List[Tuple[str, Schema, bool]]:
+    def _operand_specs(self, node: QueryNode) -> List[Tuple[str, Schema]]:
         if isinstance(node, (DeleteNode, UpdateNode)):
             relation = self.catalog.get(node.target_relation)
-            return [(node.target_relation, relation.schema, True)]
-        specs: List[Tuple[str, Schema, bool]] = []
+            return [(node.target_relation, relation.schema)]
+        specs: List[Tuple[str, Schema]] = []
         for child in node.children:
             schema = child.output_schema(self.catalog)
             if isinstance(child, ScanNode):
-                specs.append((child.relation_name, schema, True))
+                specs.append((child.relation_name, schema))
             else:
-                specs.append((f"node{child.node_id}", schema, False))
+                specs.append((f"node{child.node_id}", schema))
         return specs
 
     # ------------------------------------------------------------------ inner-ring control (MC <-> IC)

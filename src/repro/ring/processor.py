@@ -41,7 +41,8 @@ class InstructionProcessor:
         self.owner: Optional["InstructionController"] = None
         self.busy = False
         self.busy_ms = 0.0
-        self.packets_executed = 0
+        #: Label of this IP's work-charge events (traces, sanitizer).
+        self._charge_label = f"ip{ip_id}"
         #: Fail-stop flag (requirement 5, Section 4.0): a failed IP stops
         #: responding — it sends nothing and ignores everything.
         self.failed = False
@@ -138,7 +139,6 @@ class InstructionProcessor:
     def _unary_done(self, page: Page, flush_when_done: bool) -> None:
         ic = self._require_owner()
         full = self._results.add(ic.kernel(page))
-        self.packets_executed += 1
         if self.machine.fault_tolerant:
             # Unit-atomic shipping: everything leaves with this packet, so
             # a re-executed packet can never duplicate shipped rows.
@@ -211,7 +211,6 @@ class InstructionProcessor:
         ic = self._require_owner()
         full = self._results.add(ic.kernel(self._outer_page, inner_index, inner_page))
         self._irc_seen[inner_index] = None
-        self.packets_executed += 1
         if self.machine.fault_tolerant:
             # Hold everything until the outer page's IRC completes.
             self._held.extend(full)
@@ -322,7 +321,7 @@ class InstructionProcessor:
                 self.busy_ms += charge[1]
             then()
 
-        self.machine.sim.schedule(delay, guarded, label=f"ip{self.ip_id}")
+        self.machine.sim.schedule(delay, guarded, label=self._charge_label)
 
     def _settle_inflight_charges(self) -> None:
         """Credit the elapsed portion of every in-flight charge and drop it.

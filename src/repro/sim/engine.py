@@ -1,17 +1,21 @@
-"""The event loop: a batched future-event list with a millisecond clock.
+"""The event loop: tie-bucketed future events and a millisecond clock.
 
-Events are plain callbacks.  Ties in time are broken by a monotone sequence
-number so simulation runs are exactly reproducible regardless of callback
-contents.
+Events are plain callbacks that fire in ``(time, sequence)`` order —
+timestamp, then scheduling order — so runs are exactly reproducible
+regardless of callback contents.
 
 Hot-path notes:
 
-* The future-event list (:class:`repro.sim.schedulers.TieBatchedHeap`)
-  keys on *distinct* timestamps and hands back whole same-time batches,
-  so the dispatch loop pays one priority-queue operation per distinct
-  timestamp instead of one per event.  Within a batch, events sit in scheduling order (buckets only
-  grow by append and sequence numbers are monotone), which preserves the
-  pre-batching ``(time, sequence)`` total order bit-for-bit.
+* The engine owns its future-event list: a heap of *distinct* float
+  timestamps plus a dict of FIFO buckets, one per timestamp.  ``run``
+  and ``step`` pop a whole bucket per heap operation; buckets only grow
+  by append, so a bucket's order is the ``sequence`` order.  The heap
+  holds floats only, so no comparison ever reaches a callable or an
+  ``Event``.  The drain cursor lives in locals, saved in a ``finally``.
+* A bucket entry is the cancellable :class:`Event` that ``schedule``
+  returns, or a bare ``(action, label)`` tuple that ``_push`` stores for
+  callbacks never cancelled (every ``Resource`` completion).
+* ``now`` is a plain attribute; ``pending`` is computed from counters.
 * Observability binds once, at ``__init__``: ``self.probe`` is the
   ambient session's :class:`repro.obs.probe.Probe`, or None when no sink
   is armed.  The fire loop pre-binds the probe's ``event`` hook, None
@@ -20,11 +24,10 @@ Hot-path notes:
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Callable, List, Optional
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.sim.schedulers import TieBatchedHeap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.check.sanitizer import Sanitizer
@@ -32,41 +35,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.faults.plan import FaultPlan
     from repro.obs.probe import Probe
 
-class Event:
-    """One scheduled callback.
+#: A bucket entry: an ``Event`` from ``schedule`` or a bare
+#: ``(action, label)`` from ``_push``.
+_Entry = Union["Event", Tuple[Callable[[], None], str]]
 
-    Ordering is carried by ``(time, sequence)``; the event object itself is
-    never compared.  Cancelled events stay in their bucket but are skipped
-    (lazy deletion); the simulator's live-event counter is maintained
-    eagerly by :meth:`cancel` so ``Simulator.pending`` is O(1).
+_INF = float("inf")
+
+
+class Event:
+    """One cancellable scheduled callback, as returned by ``schedule``.
+
+    Ordering is carried by the bucket it sits in and its place there; the
+    event object itself is never compared.  A cancelled event stays in its
+    bucket and is skipped when reached (lazy deletion).
     """
 
     __slots__ = ("time", "sequence", "action", "label", "cancelled", "fired", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        action: Callable[[], None],
-        label: str = "",
-        cancelled: bool = False,
-    ):
+    def __init__(self, time: float, sequence: int, action: Callable[[], None], label: str,
+                 sim: "Simulator"):
         self.time = time
         self.sequence = sequence
         self.action = action
         self.label = label
-        self.cancelled = cancelled
+        self.cancelled = False
         self.fired = False
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent this event from firing (lazy deletion)."""
         if not self.cancelled:
             self.cancelled = True
             if not self.fired:
-                sim = self._sim
-                if sim is not None:
-                    sim._live -= 1
+                self._sim._cancelled += 1
 
     def __repr__(self) -> str:
         state = ", cancelled" if self.cancelled else ""
@@ -85,22 +86,22 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(
-        self,
-        sanitize: Optional[bool] = None,
-        faults: Optional["FaultPlan"] = None,
-    ):
-        self._now = 0.0
-        self._fel = TieBatchedHeap()
-        self._sequence = itertools.count()
+    def __init__(self, sanitize: Optional[bool] = None, faults: Optional["FaultPlan"] = None):
+        #: Current simulated time in milliseconds.
+        self.now = 0.0
+        # The future-event list: distinct pending timestamps (a heap) and
+        # one FIFO bucket of entries per timestamp.
+        self._times: List[float] = []
+        self._buckets: Dict[float, List[_Entry]] = {}
+        # Entries ever pushed (the next Event.sequence), fired, and
+        # cancelled before firing; ``pending`` is what is left.
+        self._scheduled = 0
         self._events_processed = 0
+        self._cancelled = 0
         self._running = False
-        #: Pending (scheduled, not yet fired, not cancelled) events.
-        self._live = 0
-        # The batch currently being drained: ``run``/``step`` share it so a
-        # horizon stop, a max_events stop, or single-stepping can resume
-        # mid-batch without disturbing order.
-        self._batch: List[Event] = []
+        # The bucket being drained, its cursor and timestamp, saved by
+        # ``run``/``step`` when they return.
+        self._batch: List[_Entry] = []
         self._batch_pos = 0
         self._batch_time = 0.0
         # The sanitizer binds once, like observability: explicit argument
@@ -146,12 +147,7 @@ class Simulator:
         else:
             self._faults = None
 
-    # -- clock ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
+    # -- counters ---------------------------------------------------------------
 
     @property
     def events_processed(self) -> int:
@@ -160,13 +156,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Scheduled events that are neither fired nor cancelled.
-
-        O(1): a live counter maintained by ``schedule``/``cancel`` and the
-        dispatch loop — callers polling it in a loop used to trigger a
-        full heap scan per call.
-        """
-        return self._live
+        """Scheduled events that are neither fired nor cancelled."""
+        return self._scheduled - self._events_processed - self._cancelled
 
     @property
     def sanitizer(self) -> Optional["Sanitizer"]:
@@ -210,40 +201,41 @@ class Simulator:
         if self._sanitizer is not None:
             # Checks NaN/infinite delays and same-timestamp order
             # hazards; raises SanitizerError with a breadcrumb.
-            self._sanitizer.on_schedule(self._now, delay, label)
-        when = self._now + delay
-        event = Event(when, next(self._sequence), action, label)
-        event._sim = self
-        self._fel.push(when, event)
-        self._live += 1
+            self._sanitizer.on_schedule(self.now, delay, label)
+        when = self.now + delay
+        event = Event(when, self._scheduled, action, label, self)
+        self._scheduled += 1
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [event]
+            heappush(self._times, when)
+        else:
+            bucket.append(event)
         return event
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at absolute simulated ``time``."""
-        return self.schedule(time - self._now, action, label)
+        return self.schedule(time - self.now, action, label)
+
+    def _push(self, delay: float, action: Callable[[], None], label: str) -> None:
+        """Schedule a callback that is never cancelled, as a bare entry.
+
+        Same order and sanitizer audit as :meth:`schedule`, but no
+        :class:`Event` is built and nothing is returned.  The caller
+        guarantees ``delay >= 0``.
+        """
+        if self._sanitizer is not None:
+            self._sanitizer.on_schedule(self.now, delay, label)
+        when = self.now + delay
+        self._scheduled += 1
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(action, label)]
+            heappush(self._times, when)
+        else:
+            bucket.append((action, label))
 
     # -- execution --------------------------------------------------------------
-
-    def _fire(self, time: float, event: Event) -> None:
-        """Advance the clock to ``time``, record, and run ``event``."""
-        self._now = time
-        event.fired = True
-        self._live -= 1
-        self._events_processed += 1
-        if self._sanitizer is not None:
-            self._sanitizer.on_fire(time, event.label)
-        if self._on_event is not None:
-            self._on_event(event.label, time)
-        event.action()
-
-    def _next_batch(self) -> bool:
-        """Load the next batch from the future-event list; False when empty."""
-        when = self._fel.peek_time()
-        if when is None:
-            return False
-        self._batch_time, self._batch = self._fel.pop_batch()
-        self._batch_pos = 0
-        return True
 
     def step(self) -> bool:
         """Fire the next event; returns False when nothing is pending.
@@ -255,24 +247,42 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        sanitizer = self._sanitizer
+        batch = self._batch
+        pos = self._batch_pos
+        when = self._batch_time
         try:
             while True:
-                batch = self._batch
-                pos = self._batch_pos
                 if pos >= len(batch):
-                    if not self._next_batch():
+                    if not self._times:
                         return False
-                    batch = self._batch
+                    when = heappop(self._times)
+                    batch = self._buckets.pop(when)
                     pos = 0
-                event = batch[pos]
-                self._batch_pos = pos + 1
-                if event.cancelled:
-                    if self._sanitizer is not None:
-                        self._sanitizer.on_drop(self._batch_time, event.label)
-                    continue
-                self._fire(self._batch_time, event)
+                entry = batch[pos]
+                pos += 1
+                if type(entry) is tuple:
+                    action, label = entry
+                else:
+                    if entry.cancelled:
+                        if sanitizer is not None:
+                            sanitizer.on_drop(when, entry.label)
+                        continue
+                    entry.fired = True
+                    action = entry.action
+                    label = entry.label
+                self.now = when
+                self._events_processed += 1
+                if sanitizer is not None:
+                    sanitizer.on_fire(when, label)
+                if self._on_event is not None:
+                    self._on_event(label, when)
+                action()
                 return True
         finally:
+            self._batch = batch
+            self._batch_pos = pos
+            self._batch_time = when
             self._running = False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -282,77 +292,84 @@ class Simulator:
         against protocol livelock in the machine simulators; exceeding it
         raises :class:`SimulationError` rather than spinning forever.
 
-        Batches whose timestamp lies beyond ``until`` are left untouched —
-        cancelled events past the horizon are *not* drained (draining them
-        used to emit sanitizer drop breadcrumbs stamped after the clock and
-        left the event list in a different state than an equivalent
-        ``step()`` sequence).
+        Buckets whose timestamp lies beyond ``until`` are left untouched —
+        cancelled events past the horizon are *not* drained, so a horizon
+        stop leaves the event list as an equivalent ``step()`` sequence
+        would.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        fired = 0
+        horizon = _INF if until is None else until
+        times = self._times
+        buckets = self._buckets
         sanitizer = self._sanitizer
         on_event = self._on_event
+        processed = self._events_processed
+        stop = -1 if max_events is None else processed + max(max_events, 0)
+        batch = self._batch
+        pos = self._batch_pos
+        when = self._batch_time
+        # Same-time entries pushed by callbacks go to a fresh bucket (the
+        # one being drained was popped), so ``batch`` never grows mid-drain;
+        # the outer loop picks the new bucket up next.
+        size = len(batch)
         try:
             while True:
-                batch = self._batch
-                pos = self._batch_pos
-                if pos >= len(batch):
-                    when = self._fel.peek_time()
-                    if when is None:
+                if pos >= size:
+                    if not times or times[0] > horizon:
                         break
-                    if until is not None and when > until:
-                        break
-                    self._batch_time, batch = self._fel.pop_batch()
-                    self._batch = batch
+                    when = heappop(times)
+                    batch = buckets.pop(when)
+                    size = len(batch)
                     pos = 0
-                else:
-                    # Resuming a batch left over from step()/max_events.
-                    when = self._batch_time
-                    if until is not None and when > until:
-                        break
-                when = self._batch_time
-                size = len(batch)
-                # Same-time events scheduled by these callbacks open a
-                # fresh bucket in the event list (this one was popped), so
-                # ``batch`` never grows mid-drain; the outer loop picks the
-                # new bucket up as the next batch at the same timestamp.
+                elif when > horizon:
+                    # A bucket left mid-drain by step()/max_events.
+                    break
                 while pos < size:
-                    event = batch[pos]
-                    if event.cancelled:
-                        pos += 1
-                        self._batch_pos = pos
-                        if sanitizer is not None:
-                            sanitizer.on_drop(when, event.label)
-                        continue
-                    if max_events is not None and fired >= max_events:
-                        self._batch_pos = pos
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at t={self._now:.3f} "
-                            f"(likely a protocol livelock; next: {event.label!r})"
-                        )
-                    pos += 1
+                    entry = batch[pos]
+                    if type(entry) is tuple:
+                        action, label = entry
+                        if processed == stop:
+                            raise self._livelock(max_events, label)
+                    else:
+                        if entry.cancelled:
+                            pos += 1
+                            if sanitizer is not None:
+                                sanitizer.on_drop(when, entry.label)
+                            continue
+                        if processed == stop:
+                            raise self._livelock(max_events, entry.label)
+                        entry.fired = True
+                        action = entry.action
+                        label = entry.label
                     # Consume before running: an exception in a hook or the
-                    # action must not leave the event eligible to re-fire.
-                    self._batch_pos = pos
+                    # action must not leave the entry eligible to re-fire.
+                    pos += 1
                     # The clock advances only when an event *fires* — an
-                    # all-cancelled batch must not drag ``now`` forward.
-                    self._now = when
-                    event.fired = True
-                    self._live -= 1
-                    self._events_processed += 1
-                    fired += 1
+                    # all-cancelled bucket must not drag ``now`` forward.
+                    self.now = when
+                    processed += 1
+                    self._events_processed = processed
                     if sanitizer is not None:
-                        sanitizer.on_fire(when, event.label)
+                        sanitizer.on_fire(when, label)
                     if on_event is not None:
-                        on_event(event.label, when)
-                    event.action()
+                        on_event(label, when)
+                    action()
             # The clock always advances to ``until`` — even when the event
             # list drains first — so elapsed-time denominators (utilization,
             # offered Mbps) are consistent across stopping conditions.
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
+            self._batch = batch
+            self._batch_pos = pos
+            self._batch_time = when
             self._running = False
-        return self._now
+        return self.now
+
+    def _livelock(self, max_events: Optional[int], label: str) -> SimulationError:
+        return SimulationError(
+            f"exceeded max_events={max_events} at t={self.now:.3f} "
+            f"(likely a protocol livelock; next: {label!r})"
+        )

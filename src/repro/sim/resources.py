@@ -8,21 +8,33 @@ carries its service time — there are no open-ended holds — so a job's
 end is fixed the moment it starts.  Utilization and queueing statistics
 are tracked for the experiment reports.
 
-Hot-path note: the simulator's observability probe is pre-bound at
-construction (it never flips after ``__init__``), so the per-job cost of
-disabled observability is one ``is not None`` check.  The probe resolves
-this resource's instruments once, when the resource declares itself.
+Hot-path notes: a job starts inline in :meth:`Resource.submit` when a
+server is free and nobody waits; otherwise it waits in the FIFO and the
+completion that frees a server starts it.  A waiting job's completion is
+never scheduled at submit time: that would number it too early and
+reorder same-time ties.  A started job joins an in-service heap keyed by
+``(end, start order)`` and pushes one bare engine entry (no ``Event``,
+no closure) for :meth:`Resource._finish`, which pops that heap's head.
+The simulator's observability probe is pre-bound at construction, so
+disabled observability costs one ``is not None`` check per job.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+
+
+#: A waiting job: (service time, done, nbytes, enqueued at, query, span kind).
+_Job = Tuple[float, Optional[Callable[[], None]], int, float, Optional[str], str]
+#: A job in service: (end, start order, start, service time, done, nbytes).
+_Serving = Tuple[float, int, float, float, Optional[Callable[[], None]], int]
 
 
 @dataclass
@@ -94,12 +106,13 @@ class Resource:
         self.capacity = capacity
         self.stats = ResourceStats()
         self._busy = 0
-        self._queue: Deque[
-            Tuple[float, Callable[[], None], int, float, Optional[str], str]
-        ] = deque()
-        #: Jobs currently in service: job id -> (start time, service time).
-        self._in_service: Dict[int, Tuple[float, float]] = {}
-        self._job_ids = itertools.count()
+        self._queue: Deque[_Job] = deque()
+        #: Jobs in service, a heap on (end, start order).
+        self._serving: List[_Serving] = []
+        #: Jobs started so far: the next job's start order.
+        self._started = 0
+        self._push = sim._push
+        self._finish_label = f"{name}.finish"
         # Pre-bound observability probe and queue-depth recorder (None
         # when nothing records them).  Observation only — no events.
         self._probe = sim.probe
@@ -119,11 +132,11 @@ class Resource:
 
         Completed jobs credit :attr:`ResourceStats.busy_time`; this is the
         complement, so mid-run utilization reads do not under-report a
-        server halfway through a long transfer.
+        server halfway through a long transfer.  Summed in start order.
         """
         now = self.sim.now
         return sum(
-            min(now - start, service) for start, service in self._in_service.values()
+            min(now - job[2], job[3]) for job in sorted(self._serving, key=itemgetter(1))
         )
 
     def utilization(self, elapsed_ms: Optional[float] = None) -> float:
@@ -136,7 +149,7 @@ class Resource:
         busy = self.stats.busy_time + self.in_flight_busy_ms()
         return min(1.0, busy / (elapsed_ms * self.capacity))
 
-    # -- job submission ----------------------------------------------------------
+    # -- jobs -------------------------------------------------------------------
 
     def submit(
         self,
@@ -157,46 +170,66 @@ class Resource:
         """
         if service_time < 0:
             raise SimulationError(f"{self.name}: negative service time {service_time}")
-        self._queue.append(
-            (service_time, done or (lambda: None), nbytes, self.sim.now, query, span_kind)
-        )
+        now = self.sim.now
+        queue = self._queue
+        if not queue and self._busy < self.capacity:
+            # A free server and nobody ahead: the job starts now and never
+            # waited (same steps as ``_start``, with a zero wait).
+            self._busy += 1
+            seq = self._started
+            self._started = seq + 1
+            heappush(self._serving, (now + service_time, seq, now, service_time, done, nbytes))
+            if self._probe is not None:
+                if self._record_depth is not None:
+                    self._record_depth(now, 1)
+                self._probe.service(
+                    self.name, query, span_kind, now, service_time, 0.0, nbytes, 0
+                )
+            self._push(service_time, self._finish, self._finish_label)
+            return
+        queue.append((service_time, done, nbytes, now, query, span_kind))
         if self._record_depth is not None:
-            self._record_depth(self.sim.now, len(self._queue))
-        self._dispatch()
-        # Peak depth is measured *after* dispatch: a job that went straight
-        # into a free server never waited, so an uncongested resource
-        # reports peak_queue == 0 (it used to read 1 — the depth was
-        # sampled before the dispatch pop).
-        depth = len(self._queue)
+            self._record_depth(now, len(queue))
+        # A server is free with jobs waiting only inside a completion's
+        # ``done`` callback: the head of the queue takes it now, as the
+        # completion itself would after the callback returns.
+        while queue and self._busy < self.capacity:
+            self._start(queue.popleft())
+        # Peak depth counts only jobs that really wait: an uncongested
+        # resource reports peak_queue == 0.
+        depth = len(queue)
         if depth > self.stats.peak_queue:
             self.stats.peak_queue = depth
 
-    def _dispatch(self) -> None:
-        while self._busy < self.capacity and self._queue:
-            service_time, done, nbytes, enqueued_at, query, span_kind = (
-                self._queue.popleft()
+    def _start(self, job: _Job) -> None:
+        """Put a job that waited in the FIFO on a free server."""
+        service_time, done, nbytes, enqueued_at, query, span_kind = job
+        now = self.sim.now
+        self._busy += 1
+        wait = now - enqueued_at
+        self.stats.wait_time += wait
+        seq = self._started
+        self._started = seq + 1
+        heappush(self._serving, (now + service_time, seq, now, service_time, done, nbytes))
+        if self._probe is not None:
+            self._probe.service(
+                self.name, query, span_kind, now, service_time, wait, nbytes, len(self._queue)
             )
-            self._busy += 1
-            wait = self.sim.now - enqueued_at
-            self.stats.wait_time += wait
-            job_id = next(self._job_ids)
-            self._in_service[job_id] = (self.sim.now, service_time)
-            if self._probe is not None:
-                self._probe.service(
-                    self.name, query, span_kind, self.sim.now, service_time,
-                    wait, nbytes, len(self._queue),
-                )
+        self._push(service_time, self._finish, self._finish_label)
 
-            def finish(st=service_time, cb=done, nb=nbytes, jid=job_id):
-                self._busy -= 1
-                del self._in_service[jid]
-                self.stats.jobs_completed += 1
-                self.stats.busy_time += st
-                self.stats.bytes_served += nb
-                cb()
-                self._dispatch()
-
-            self.sim.schedule(service_time, finish, label=f"{self.name}.finish")
+    def _finish(self) -> None:
+        """One job's service completes: credit it, run ``done``, refill."""
+        _, _, _, service_time, done, nbytes = heappop(self._serving)
+        self._busy -= 1
+        stats = self.stats
+        stats.jobs_completed += 1
+        stats.busy_time += service_time
+        stats.bytes_served += nbytes
+        if done is not None:
+            done()
+        queue = self._queue
+        while queue and self._busy < self.capacity:
+            self._start(queue.popleft())
 
     def __repr__(self) -> str:
         return (

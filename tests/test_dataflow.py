@@ -42,7 +42,7 @@ class TestOperandSlot:
         slot = OperandSlot("x", PAIR)
         assert slot.deliver(page_of([(1, 1)])) == 0
         assert slot.page_count == 1
-        assert slot.row_count == 1
+        assert [p.row_count for p in slot.pages] == [1]
         slot.finish()
         with pytest.raises(MachineError):
             slot.deliver(page_of([(2, 2)]))

@@ -189,7 +189,7 @@ def test_ring_probe_follows_the_page_it_was_built_from():
     tree = QUERIES["base_inner"]()
     machine = RingMachine(catalog(), processors=3, controllers=8, page_bytes=PAGE_BYTES)
     ic = InstructionController(
-        machine, 1, tree.root, tree, [("o", OUTER, True), ("i", INNER, True)],
+        machine, 1, tree.root, tree, [("o", OUTER), ("i", INNER)],
         OUTER.concat_unique(INNER),
     )
     outer = page_of(OUTER, [(1, 0), (2, 1)])

@@ -1,9 +1,12 @@
 """The discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.resources import Resource
 
 
 def test_clock_starts_at_zero():
@@ -323,3 +326,136 @@ def test_run_inside_step_raises():
     sim.schedule(1.0, nested)
     with pytest.raises(SimulationError):
         sim.step()
+
+
+# ------------------------------------------------------- fire-order property
+
+
+def _random_workload(seed: int):
+    """Drive a simulator through a seeded workload.
+
+    Cancellable events (``schedule``) interleave with bare entries (the
+    completions of two ``Resource``s), and the run is cut by horizon
+    stops, ``max_events`` stops and single steps.  Returns ``(fired,
+    expected, pushed, bare, stops, sim)``: the ``(time, order)`` pairs in
+    the order the simulator fired them, the reference order — every
+    pushed entry not cancelled before it fired, sorted by ``(time,
+    order)`` where ``order`` counts pushes of either kind — the number of
+    pushes, how many of them were bare, and how many ``max_events``
+    stops raised.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    scheduled = []  # order -> [time, event or None if bare, cancelled-before-firing]
+    fired = []
+
+    def record(when, order):
+        assert sim.now == when
+        fired.append((when, order))
+
+    # Observe the engine's bare pushes: each resource binds ``_push`` at
+    # construction, so this wrapper sees every completion it schedules.
+    push = sim._push
+
+    def recording_push(delay, action, label):
+        order = len(scheduled)
+        when = sim.now + delay
+        scheduled.append([when, None, False])
+
+        def fire():
+            record(when, order)
+            action()
+
+        push(delay, fire, label)
+
+    sim._push = recording_push
+    resources = [Resource(sim, "r1", capacity=1), Resource(sim, "r2", capacity=2)]
+
+    def schedule(delay):
+        order = len(scheduled)
+        when = sim.now + delay
+        event = sim.schedule(delay, lambda: react(when, order), label=f"e{order}")
+        scheduled.append([when, event, False])
+
+    def submit():
+        rng.choice(resources).submit(rng.choice([0.0, 0.5, 1.0, 1.0, 2.5]), job_done)
+
+    def job_done():
+        if rng.random() < 0.3:
+            submit()
+        if rng.random() < 0.3:
+            schedule(rng.choice([0.0, 0.5, 1.0]))
+
+    def react(when, order):
+        record(when, order)
+        # Mid-run scheduling with quantized delays (timestamp ties) and
+        # same-time (delay 0) events and jobs.
+        if rng.random() < 0.45:
+            schedule(rng.choice([0.0, 0.5, 1.0, 1.0, 2.5]))
+        if rng.random() < 0.35:
+            submit()
+        if rng.random() < 0.2:
+            entry = rng.choice([e for e in scheduled if e[1] is not None])
+            if not entry[1].fired:
+                entry[2] = True
+            entry[1].cancel()
+
+    for _ in range(60):
+        schedule(rng.choice([0.0, 0.25, 1.0, 1.0, 3.0, 7.5]))
+    for _ in range(20):
+        submit()
+    # Horizon stops land on, between and past event timestamps; single
+    # steps and max_events stops in between resume mid-bucket.
+    horizon = 0.0
+    stops = 0
+    for _ in range(10_000):
+        if not sim.pending:
+            break
+        horizon += rng.choice([0.0, 0.25, 0.5, 1.0, 2.0])
+        if rng.random() < 0.3:
+            try:
+                sim.run(until=horizon, max_events=rng.randrange(4))
+            except SimulationError:
+                stops += 1
+        else:
+            assert sim.run(until=horizon) == horizon
+            assert all(when <= horizon for when, _ in fired)
+        for _ in range(rng.randrange(3)):
+            sim.step()
+        horizon = sim.now
+    assert sim.pending == 0
+    assert not sim.step()
+    expected = sorted(
+        (when, order)
+        for order, (when, _event, cancelled) in enumerate(scheduled)
+        if not cancelled
+    )
+    bare = sum(1 for _, event, _ in scheduled if event is None)
+    return fired, expected, len(scheduled), bare, stops, sim
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17, 1979])
+def test_fire_order_matches_sorted_time_sequence_reference(seed):
+    fired, expected, pushed, bare, stops, sim = _random_workload(seed)
+    assert fired == expected
+    assert sim.events_processed == len(fired)
+    assert sim.pending == 0
+    # The workload really exercises ties, cancellations, bare entries
+    # and max_events stops.
+    times = [when for when, _ in fired]
+    assert len(set(times)) < len(times)
+    assert len(expected) < pushed
+    assert 0 < bare < pushed
+    assert stops > 0
+
+
+def test_until_horizon_resumes_in_order():
+    # A horizon stop on a tied timestamp fires the whole tie, then resumes.
+    sim = Simulator()
+    trace = []
+    for i, t in enumerate((1.0, 4.0, 4.0, 9.0)):
+        sim.schedule(t, lambda i=i: trace.append((sim.now, i)))
+    assert sim.run(until=4.0) == 4.0
+    assert trace == [(1.0, 0), (4.0, 1), (4.0, 2)]
+    sim.run()
+    assert trace[-1] == (9.0, 3)

@@ -1,10 +1,15 @@
 """FIFO server resources."""
 
+import dataclasses
+import itertools
+import random
+from collections import deque
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, ResourceStats
 
 
 def test_single_server_serializes():
@@ -177,3 +182,132 @@ def test_zero_service_time_completes():
     res.submit(0.0, lambda: done.append(sim.now))
     sim.run()
     assert done == [0.0]
+
+
+# ------------------------------------------------- differential: dispatch loop
+
+
+class _DispatchLoopResource:
+    """The FIFO resource as a queue plus a dispatch loop (the reference).
+
+    Every job waits in the queue, a dispatch pass starts queued jobs while
+    servers are free, and each started job schedules a per-job ``finish``
+    closure that credits the job, runs ``done`` and dispatches again.
+    """
+
+    def __init__(self, sim, name, capacity=1):
+        self.sim = sim
+        self.name = name
+        self.capacity = capacity
+        self.stats = ResourceStats()
+        self._busy = 0
+        self._queue = deque()
+        self._in_service = {}
+        self._job_ids = itertools.count()
+
+    @property
+    def queued(self):
+        return len(self._queue)
+
+    def in_flight_busy_ms(self):
+        now = self.sim.now
+        return sum(
+            min(now - start, service) for start, service in self._in_service.values()
+        )
+
+    def utilization(self, elapsed_ms=None):
+        if elapsed_ms is None:
+            elapsed_ms = self.sim.now
+        if elapsed_ms <= 0:
+            return 0.0
+        busy = self.stats.busy_time + self.in_flight_busy_ms()
+        return min(1.0, busy / (elapsed_ms * self.capacity))
+
+    def submit(self, service_time, done=None, nbytes=0):
+        self._queue.append((service_time, done or (lambda: None), nbytes, self.sim.now))
+        self._dispatch()
+        depth = len(self._queue)
+        if depth > self.stats.peak_queue:
+            self.stats.peak_queue = depth
+
+    def _dispatch(self):
+        while self._busy < self.capacity and self._queue:
+            service_time, done, nbytes, enqueued_at = self._queue.popleft()
+            self._busy += 1
+            self.stats.wait_time += self.sim.now - enqueued_at
+            job_id = next(self._job_ids)
+            self._in_service[job_id] = (self.sim.now, service_time)
+
+            def finish(st=service_time, cb=done, nb=nbytes, jid=job_id):
+                self._busy -= 1
+                del self._in_service[jid]
+                self.stats.jobs_completed += 1
+                self.stats.busy_time += st
+                self.stats.bytes_served += nb
+                cb()
+                self._dispatch()
+
+            self.sim.schedule(service_time, finish, label=f"{self.name}.finish")
+
+
+def _job_stream(resource_class, seed):
+    """Drive one resource with a seeded job stream; return everything seen.
+
+    Jobs arrive from scheduled events (some at a completion's timestamp)
+    and from inside ``done`` callbacks; service times include zeros and
+    ties.  The log holds every completion ``(now, job)`` and, at random
+    instants inside callbacks and at horizon stops, the resource's
+    ``utilization()``, ``queued``, ``in_flight_busy_ms()`` and stats.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    res = resource_class(sim, "r", capacity=rng.randint(1, 4))
+    log = []
+    jobs = itertools.count()
+
+    def observe(where):
+        log.append((where, sim.now, res.utilization(), res.queued,
+                    res.in_flight_busy_ms(), dataclasses.astuple(res.stats)))
+
+    def submit():
+        job = next(jobs)
+        if job >= 300:
+            return
+        service = rng.choice([0.0, 0.0, 0.1, 0.7, 0.7, 1.0, 1.3, 3.25])
+        res.submit(service, lambda: done(job), nbytes=rng.randrange(100))
+
+    def done(job):
+        log.append(("done", sim.now, job))
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            submit()
+        if rng.random() < 0.3:
+            sim.schedule(rng.choice([0.0, 0.5, 1.0]), arrive)
+        if rng.random() < 0.3:
+            observe("done")
+
+    def arrive():
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            submit()
+        if rng.random() < 0.3:
+            observe("arrive")
+
+    for _ in range(12):
+        sim.schedule(rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.0]), arrive)
+    horizon = 0.0
+    while sim.pending:
+        horizon += rng.choice([0.25, 0.5, 1.0, 2.0])
+        sim.run(until=horizon)
+        observe("horizon")
+    sim.run()
+    observe("end")
+    return log
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_the_dispatch_loop_reference_bit_for_bit(seed):
+    reference = _job_stream(_DispatchLoopResource, seed)
+    assert repr(_job_stream(Resource, seed)) == repr(reference)
+    # The stream really queues jobs and finishes some at equal times.
+    completions = [entry[1] for entry in reference if entry[0] == "done"]
+    assert len(set(completions)) < len(completions)
+    assert max(entry[3] for entry in reference if entry[0] != "done") > 0
